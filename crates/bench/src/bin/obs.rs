@@ -166,7 +166,7 @@ fn main() {
     ];
 
     // Warm at the most expensive level so thread-local span buffers,
-    // the flight ring and the product planes all exist before any
+    // the flight ring and the bank caches all exist before any
     // measured window.
     man_obs::set_level(ObsLevel::Spans);
     let _ = closed_loop(CLIENTS, warmup, predict);

@@ -191,7 +191,7 @@ fn main() {
             let kernel = session.kernel_label();
             let layout = session
                 .last_dispatch()
-                .map(|(_, kind)| kind.label())
+                .map(|plan| plan.layout.label())
                 .unwrap_or("unresolved");
             println!(
                 "{:<30} {:>4} {:<12} {:>14} {:>22} {:>12.1} {:>8.2}x",

@@ -94,8 +94,8 @@ fn main() {
                 assert_eq!(predictions.len(), batch_size);
                 // What the batched dispatch actually resolved to —
                 // identical every rep (same session config, same batch).
-                if let Some((_, kind)) = session.last_dispatch() {
-                    layout = kind.label().to_owned();
+                if let Some(plan) = session.last_dispatch() {
+                    layout = plan.layout.label().to_owned();
                 }
 
                 // Cold path: a fresh session (empty cache) per input.

@@ -9,13 +9,12 @@
 //!   dispatch opens a fresh `InferenceSession`, shares nothing. This is
 //!   the naive stateless server one would write directly on the PR-1
 //!   `CompiledModel::session()` API.
-//! * `single_request_persistent` — `max_batch = 1` but a persistent warm
+//! * `single_request_persistent` — `max_batch = 1` but a persistent
 //!   session, isolating how much of the win is session reuse vs
 //!   coalescing.
 //! * `micro_batched` — the production configuration: whatever queued
 //!   while the previous batch computed coalesces (up to 32) into one
-//!   `infer_batch_shared` call on a persistent warm (product-plane)
-//!   session.
+//!   `infer_batch_shared` call on a persistent session.
 //!
 //! Emits `BENCH_serve.json` in the working directory.
 //!
@@ -91,7 +90,6 @@ fn session_label(mode: SessionMode) -> &'static str {
     match mode {
         SessionMode::Cold => "cold (fresh per call)",
         SessionMode::Persistent => "persistent",
-        SessionMode::Warm => "persistent + product plane",
     }
 }
 
@@ -119,7 +117,7 @@ fn run_modes(
         let image = &images[(c * 7 + i as usize) % images.len()];
         client.predict(MODEL, image.clone()).is_ok()
     };
-    // Warm caches/planes and settle the thread pools before measuring.
+    // Warm the bank caches and settle the thread pools before measuring.
     for (_, _, _, client) in &runs {
         let _ = closed_loop(CLIENTS, warmup, |c, i| predict(client, c, i));
     }
@@ -303,7 +301,7 @@ fn main() {
                 BatchConfig {
                     max_batch: 1,
                     max_wait: Duration::ZERO,
-                    session_mode: SessionMode::Warm,
+                    session_mode: SessionMode::Persistent,
                     ..BatchConfig::default()
                 },
             ),

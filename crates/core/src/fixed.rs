@@ -15,13 +15,15 @@ use man_fixed::{quantize::fit_format, QFormat};
 use man_hw::components::activation::{activation_unit_fixed, PlanParams};
 use man_nn::layers::Layer;
 use man_nn::network::Network;
-use man_par::{default_chunk_size, run_chunked, Parallelism};
+use man_par::{default_chunk_size, run_chunked, Parallelism, ShardPlan};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::alphabet::AlphabetSet;
 use crate::asm::AsmMultiplier;
-use crate::kernel::{self, BankArena, KernelKind, MacRun, MacSoa};
+use crate::kernel::{
+    self, BankArena, ExecPlan, ExecRequest, KernelKind, LayoutKind, MacRun, MacSoa,
+};
 
 /// Per-layer alphabet assignment (uniform or mixed, as in the paper's
 /// Section VI-E where early layers use `{1}` and late layers `{1,3}` /
@@ -287,109 +289,22 @@ pub struct FixedNet {
     layers: Vec<FixedLayer>,
 }
 
-/// Widest word length for which [`FixedNet::session_cache_warm`] builds a
-/// product plane: the plane holds `2^(bits-1) × 2^(bits-1)` `u32` slots,
-/// so 12 bits costs 16 MiB and anything wider grows unreasonably.
-pub const PRODUCT_PLANE_MAX_BITS: u32 = 12;
-
 /// Lanes per batch-major block (DESIGN.md §10): the batch advances
 /// layer-by-layer in blocks of this many images. 16 lanes feed four
 /// 4-lane SWAR/AVX2 groups per term byte while keeping the transposed
 /// bank block of a wide layer comfortably inside L2.
 pub const LANE_BLOCK: usize = 16;
 
-/// A lazily-filled memo of the ASM datapath's products, indexed by
-/// `(weight magnitude, input magnitude)`.
-///
-/// The ASM's defining property — proven against the gate-level netlist in
-/// the workspace tests — is that every *supported* weight multiplies
-/// exactly: `apply(plan(w), bank(x)) == w·x`. The plane exploits that
-/// determinism one step past the pre-computer bank: once any layer has
-/// pushed a `(w_mag, x_mag)` pair through its select/shift/add datapath,
-/// the product is remembered for every later multiplication of the same
-/// pair, across layers, requests and batches. This is the software
-/// analogue of the paper's CSHM sharing taken to steady state, and it is
-/// what makes a long-lived serving session faster than per-request
-/// sessions. Entries are filled *by* the simulated datapath, so results
-/// stay bit-identical to the unmemoized path.
-///
-/// The table is **shared by clone**: cloning a plane (or a
-/// [`SessionCache`] carrying one) yields a handle onto the same slots,
-/// so a parallel session's per-worker caches amortize one plane — at
-/// the 12-bit maximum the plane is 16 MiB, which must not be multiplied
-/// by the worker count — and every worker profits from every worker's
-/// fills. Slots are relaxed atomics: two threads can only ever race to
-/// write the *same* pure value (`w·x`), so the worst case is a redundant
-/// computation, never a wrong bit; a relaxed `u32` load costs the same
-/// as a plain one on mainstream hardware.
-#[derive(Clone, Debug)]
-struct ProductPlane {
-    /// `2^(bits-1)`: magnitudes are strictly below this.
-    side: usize,
-    /// `side × side` products; `u32::MAX` marks an unfilled slot (the
-    /// largest real product, `(2^15-1)^2`, is below it for every
-    /// supported word length).
-    table: std::sync::Arc<[std::sync::atomic::AtomicU32]>,
-}
-
-impl ProductPlane {
-    const EMPTY: u32 = u32::MAX;
-
-    fn new(bits: u32) -> Self {
-        let side = 1usize << (bits - 1);
-        Self {
-            side,
-            table: (0..side * side)
-                .map(|_| std::sync::atomic::AtomicU32::new(Self::EMPTY))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn get(&self, w_mag: u32, x_mag: u32) -> Option<u64> {
-        let slot = &self.table[w_mag as usize * self.side + x_mag as usize];
-        // ORDERING: value-based benign race. Every writer stores the same
-        // pure function of the slot's index (see `store`), so a stale or
-        // torn-free Relaxed read returns either EMPTY (recompute) or the
-        // one correct product — no memory is published through this cell.
-        let cached = slot.load(std::sync::atomic::Ordering::Relaxed);
-        (cached != Self::EMPTY).then_some(cached as u64)
-    }
-
-    #[inline]
-    fn store(&self, w_mag: u32, x_mag: u32, product: u64) {
-        let slot = &self.table[w_mag as usize * self.side + x_mag as usize];
-        // ORDERING: monotonic publish of a pure function value; racing
-        // writers store identical bits, and readers tolerate staleness
-        // (they just recompute). Relaxed is sufficient — see `get`.
-        slot.store(product as u32, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Bytes of the (fully allocated, shared-by-clone) product table.
-    fn bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u32>()
-    }
-}
-
 /// Reusable per-layer pre-computer bank caches.
 ///
 /// A bank depends only on the input magnitude and the layer's alphabet
 /// set, so it can be shared across every inference of a session — the
-/// mechanism behind [`FixedNet::infer_raw_with_cache`] and the batched
+/// mechanism behind [`FixedNet::infer_batch`] and the batched
 /// `InferenceSession` in the facade crate. Banks live in one contiguous
 /// structure-of-arrays slab per layer (a `BankArena`: one padded row
 /// per magnitude, addressed by row offset), so the scalar hot path is
 /// an array index — and the vectorized MAC kernels stream rows out of
 /// the same slab without pointer chasing.
-///
-/// A cache built by [`FixedNet::session_cache_warm`] additionally carries
-/// a `ProductPlane` that memoizes whole products across inferences —
-/// the right choice for long-lived serving sessions, and bit-identical
-/// to the plain path. **Cloning** a warm cache shares the plane (its
-/// slots are relaxed atomics over pure values) while deep-copying the
-/// bank arenas — which is how a parallel session gives every worker
-/// slot a private bank cache without multiplying the plane's memory or
-/// its steady-state warm-up cost by the worker count.
 #[derive(Clone, Debug)]
 pub struct SessionCache {
     /// Word length plus each layer's alphabet members: a bank's value
@@ -398,7 +313,6 @@ pub struct SessionCache {
     bits: u32,
     layer_alphabets: Vec<Vec<u8>>,
     layers: Vec<BankArena>,
-    plane: Option<ProductPlane>,
     /// Reusable batch-major transpose scratch (DESIGN.md §10): the
     /// lane-transposed bank block and activation sign masks rebuilt per
     /// layer per lane block. Empty until the first batch-major dispatch;
@@ -415,10 +329,6 @@ pub struct SessionCache {
 pub struct CacheFootprint {
     /// Heap bytes of each layer's bank arena (rows + magnitude index).
     pub layer_bank_bytes: Vec<usize>,
-    /// Bytes of the shared product plane (0 without one). The plane is
-    /// shared across a session's worker-slot clones, so when summing
-    /// slot footprints it must be counted once.
-    pub plane_bytes: usize,
     /// Heap bytes of the batch-major transpose scratch (lane-transposed
     /// bank block + sign masks; 0 until the first batch-major dispatch).
     /// Per worker slot, like the bank arenas.
@@ -426,38 +336,21 @@ pub struct CacheFootprint {
 }
 
 impl CacheFootprint {
-    /// Total bytes: every layer's banks, the plane, and the batch-major
-    /// transpose scratch.
+    /// Total bytes: every layer's banks and the batch-major transpose
+    /// scratch.
     pub fn total_bytes(&self) -> usize {
-        self.layer_bank_bytes.iter().sum::<usize>() + self.plane_bytes + self.transpose_bytes
+        self.layer_bank_bytes.iter().sum::<usize>() + self.transpose_bytes
     }
 }
 
 impl SessionCache {
-    /// One signed-magnitude product through the cache: the plane when the
-    /// cache is warm (a plane miss fills from the per-layer bank arena,
-    /// so the bank for an input magnitude is still computed only once),
-    /// the bank alone otherwise.
+    /// One unsigned product through the layer's bank arena, filling the
+    /// bank for `x_mag` on first use.
     #[inline]
     fn product(&mut self, layer: usize, mac: &MacParams, wi: usize, x_mag: u32) -> u64 {
-        let Self { plane, layers, .. } = self;
-        match plane {
-            Some(plane) => {
-                if let Some(p) = plane.get(mac.w_mag[wi], x_mag) {
-                    return p;
-                }
-                let arena = &mut layers[layer];
-                let row = arena.row_or_fill(&mac.asm, x_mag);
-                let p = mac.asm.apply(&mac.plans[wi], arena.bank(row));
-                plane.store(mac.w_mag[wi], x_mag, p);
-                p
-            }
-            None => {
-                let arena = &mut layers[layer];
-                let row = arena.row_or_fill(&mac.asm, x_mag);
-                mac.asm.apply(&mac.plans[wi], arena.bank(row))
-            }
-        }
+        let arena = &mut self.layers[layer];
+        let row = arena.row_or_fill(&mac.asm, x_mag);
+        mac.asm.apply(&mac.plans[wi], arena.bank(row))
     }
 
     /// Ensures a pre-computer bank row exists for every activation in
@@ -472,11 +365,9 @@ impl SessionCache {
         self.layers[layer].prefill(&mac.asm, xs.iter().map(|x| x.mag));
     }
 
-    /// Read-only twin of [`SessionCache::product`]: a plane hit when the
-    /// cache is warm, otherwise the (prefilled) bank through the ASM
-    /// datapath. Banks and plane entries are pure functions of
-    /// `(alphabet, w_mag, x_mag)`, so this returns bit-identical products
-    /// to the mutable path — it just cannot memoize new plane entries.
+    /// Read-only twin of [`SessionCache::product`] over a prefilled
+    /// bank. Banks are pure functions of `(alphabet, x_mag)`, so this
+    /// returns bit-identical products to the mutable path.
     ///
     /// # Panics
     ///
@@ -484,11 +375,6 @@ impl SessionCache {
     /// invariant of the neuron-sharded MAC loop).
     #[inline]
     fn product_ro(&self, layer: usize, mac: &MacParams, wi: usize, x_mag: u32) -> u64 {
-        if let Some(plane) = &self.plane {
-            if let Some(p) = plane.get(mac.w_mag[wi], x_mag) {
-                return p;
-            }
-        }
         let arena = &self.layers[layer];
         let row = arena
             .row(x_mag)
@@ -496,21 +382,11 @@ impl SessionCache {
         mac.asm.apply(&mac.plans[wi], arena.bank(row))
     }
 
-    /// `true` when this cache memoizes whole products.
-    pub fn has_product_plane(&self) -> bool {
-        self.plane.is_some()
-    }
-
     /// The cache's current memory footprint: per-layer bank-arena bytes
-    /// plus the product plane's bytes (when warm).
+    /// plus the batch-major transpose scratch.
     pub fn footprint(&self) -> CacheFootprint {
         CacheFootprint {
             layer_bank_bytes: self.layers.iter().map(BankArena::bytes).collect(),
-            plane_bytes: self
-                .plane
-                .as_ref()
-                .map(ProductPlane::bytes)
-                .unwrap_or_default(),
             transpose_bytes: self.bank_t.capacity() * std::mem::size_of::<u64>()
                 + self.sign_t.capacity() * std::mem::size_of::<i64>(),
         }
@@ -829,13 +705,8 @@ impl FixedNet {
     ) -> Vec<i64> {
         // Sharding pays only when each worker gets a few neurons; tiny
         // layers (and traced runs, whose operand stream is ordered) stay
-        // on the sequential reference path. A warm cache also stays
-        // sequential: the shard loop is read-only and cannot memoize new
-        // product-plane entries, so sharding a plane-backed session would
-        // starve the steady-state memo that makes warm serving fast —
-        // the mutable path both fills and profits from the plane.
-        let shardable =
-            workers > 1 && outputs >= workers * 4 && trace.is_none() && !cache.has_product_plane();
+        // on the sequential reference path.
+        let shardable = workers > 1 && outputs >= workers * 4 && trace.is_none();
         if let (true, Some(xs)) = (shardable, prefill) {
             cache.prefill_layer(li, mac, xs);
             let shared: &SessionCache = cache;
@@ -912,9 +783,7 @@ impl FixedNet {
                 acc: acc_init(o),
             })
         };
-        // Same shard threshold as the scalar path; the kernel loop never
-        // touches the product plane, so plane-backed caches may shard
-        // here too (the prefilled arena is all it reads).
+        // Same shard threshold as the scalar path.
         if workers > 1 && outputs >= workers * 4 {
             let mut slots = vec![(); workers];
             return run_chunked(
@@ -927,23 +796,15 @@ impl FixedNet {
         (0..outputs).map(run_output).collect()
     }
 
+    /// One image's row-major forward pass, with the MAC loops of large
+    /// layers sharded over `workers` threads (neuron-level parallelism)
+    /// and the per-layer kernel dispatched per `kind` (DESIGN.md §10).
+    /// Pool layers multiply *derived* 2×2-average activations whose
+    /// magnitudes are not in the layer input, so they keep the
+    /// sequential scalar path — they are a vanishing fraction of the
+    /// MACs anyway; traced runs force the scalar path too (the operand
+    /// stream is ordered).
     fn forward_layers(
-        &self,
-        image: &[f32],
-        traces: Option<&mut Vec<LayerTrace>>,
-        cache: &mut SessionCache,
-    ) -> Vec<i64> {
-        self.forward_layers_sharded(image, traces, cache, 1, kernel::default_kernel())
-    }
-
-    /// [`FixedNet::forward_layers`] with the MAC loops of large layers
-    /// sharded over `workers` threads (neuron-level parallelism) and the
-    /// per-layer kernel dispatched per `kind` (DESIGN.md §10). Pool
-    /// layers multiply *derived* 2×2-average activations whose magnitudes
-    /// are not in the layer input, so they keep the sequential scalar
-    /// path — they are a vanishing fraction of the MACs anyway; traced
-    /// runs force the scalar path too (the operand stream is ordered).
-    fn forward_layers_sharded(
         &self,
         image: &[f32],
         mut traces: Option<&mut Vec<LayerTrace>>,
@@ -975,8 +836,7 @@ impl FixedNet {
             // The §10 dispatch rule: vectorized kernels run every
             // untraced dense/conv layer over the prefilled SoA arena;
             // traced runs, pool layers and the scalar kernel keep the
-            // per-weight reference loop (which is also the only path
-            // that reads — and fills — the warm product plane).
+            // per-weight reference loop.
             let vectorize = kind.is_vectorized() && layer_trace.is_none();
             let accs: Vec<i64> = match layer {
                 FixedLayer::Dense {
@@ -1141,7 +1001,7 @@ impl FixedNet {
                         cache,
                         &mut layer_trace,
                         // Pool magnitudes are derived, not prefillable:
-                        // stay sequential (see forward_layers_sharded).
+                        // stay sequential (see forward_layers).
                         1,
                         None,
                     )
@@ -1192,23 +1052,9 @@ impl FixedNet {
                 .iter()
                 .map(|l| BankArena::new(slots, l.mac().asm.alphabet().len()))
                 .collect(),
-            plane: None,
             bank_t: Vec::new(),
             sign_t: Vec::new(),
         }
-    }
-
-    /// A [`FixedNet::session_cache`] that additionally memoizes whole
-    /// `(weight, input)` products across inferences — the steady-state
-    /// serving configuration. Falls back to a plain cache when the word
-    /// length exceeds [`PRODUCT_PLANE_MAX_BITS`] (the plane would be too
-    /// large). Results are bit-identical either way.
-    pub fn session_cache_warm(&self) -> SessionCache {
-        let mut cache = self.session_cache();
-        if self.bits <= PRODUCT_PLANE_MAX_BITS {
-            cache.plane = Some(ProductPlane::new(self.bits));
-        }
-        cache
     }
 
     fn layer_alphabet_members(&self) -> Vec<Vec<u8>> {
@@ -1231,201 +1077,55 @@ impl FixedNet {
     }
 
     /// Runs one inference, returning the raw output-layer accumulators
-    /// ("logits" at the final layer's accumulator fraction).
+    /// ("logits" at the final layer's accumulator fraction) — the
+    /// one-shot reference every [`FixedNet::infer_batch`] plan matches.
     ///
     /// # Panics
     ///
     /// Panics if `image` does not hold [`FixedNet::input_len`] values.
     pub fn infer_raw(&self, image: &[f32]) -> Vec<i64> {
-        self.forward_layers(image, None, &mut self.session_cache())
-    }
-
-    /// [`FixedNet::infer_raw`] reusing a caller-held [`SessionCache`] —
-    /// the batched hot path. Results are bit-identical to `infer_raw`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` was created by a network with a different word
-    /// length or alphabet assignment — its banks would silently corrupt
-    /// this network's products.
-    pub fn infer_raw_with_cache(&self, image: &[f32], cache: &mut SessionCache) -> Vec<i64> {
-        self.infer_raw_with_cache_kernel(image, cache, kernel::default_kernel())
-    }
-
-    /// [`FixedNet::infer_raw_with_cache`] with an explicit MAC kernel
-    /// (see `crate::kernel`). Every kernel returns bit-identical logits;
-    /// the choice only moves wall-clock time around.
-    ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_raw_with_cache`].
-    pub fn infer_raw_with_cache_kernel(
-        &self,
-        image: &[f32],
-        cache: &mut SessionCache,
-        kind: KernelKind,
-    ) -> Vec<i64> {
-        assert!(
-            self.cache_matches(cache),
-            "session cache belongs to a network with a different word \
-             length or alphabet assignment"
-        );
-        self.forward_layers_sharded(image, None, cache, 1, kind)
-    }
-
-    /// [`FixedNet::infer_raw_with_cache`] with large layers sharded over
-    /// `parallelism` worker threads (each output neuron computed whole,
-    /// on one thread, in fan-in order — see `run_mac_layer`). Results are
-    /// bit-identical to the sequential path for every `Parallelism`.
-    ///
-    /// A cache with a product plane ([`FixedNet::session_cache_warm`])
-    /// runs sequentially regardless: the sharded loop cannot write the
-    /// plane, and in steady state the plane makes the MAC loop a table
-    /// lookup that sharding could only slow down.
-    ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_raw_with_cache`].
-    pub fn infer_raw_with_cache_par(
-        &self,
-        image: &[f32],
-        cache: &mut SessionCache,
-        parallelism: Parallelism,
-    ) -> Vec<i64> {
-        self.infer_raw_with_cache_par_kernel(image, cache, parallelism, kernel::default_kernel())
-    }
-
-    /// [`FixedNet::infer_raw_with_cache_par`] with an explicit MAC
-    /// kernel. With a vectorized kernel, neuron sharding runs through
-    /// the prefilled SoA arena — including on plane-backed (warm)
-    /// caches, which the kernel path never reads the plane of.
-    ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_raw_with_cache`].
-    pub fn infer_raw_with_cache_par_kernel(
-        &self,
-        image: &[f32],
-        cache: &mut SessionCache,
-        parallelism: Parallelism,
-        kind: KernelKind,
-    ) -> Vec<i64> {
-        assert!(
-            self.cache_matches(cache),
-            "session cache belongs to a network with a different word \
-             length or alphabet assignment"
-        );
-        self.forward_layers_sharded(image, None, cache, parallelism.workers(), kind)
-    }
-
-    /// Runs a batch with rows sharded across one worker per element of
-    /// `caches` — the data-parallel serving hot path. Row `i` of the
-    /// result is bit-identical to `infer_raw_with_cache(&images[i], c)`
-    /// for any matching cache `c`: each row's whole forward pass runs on
-    /// one thread, and worker-local caches only memoize pure functions of
-    /// the compiled network, so sharding changes wall-clock time, never
-    /// bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caches` is empty or any cache does not match this
-    /// network (as [`FixedNet::infer_raw_with_cache`]).
-    pub fn infer_batch_raw_par(
-        &self,
-        images: &[Vec<f32>],
-        caches: &mut [&mut SessionCache],
-    ) -> Vec<Vec<i64>> {
-        self.infer_batch_raw_par_kernel(images, caches, kernel::default_kernel())
-    }
-
-    /// [`FixedNet::infer_batch_raw_par`] with an explicit MAC kernel for
-    /// every row's forward pass.
-    ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_batch_raw_par`].
-    pub fn infer_batch_raw_par_kernel(
-        &self,
-        images: &[Vec<f32>],
-        caches: &mut [&mut SessionCache],
-        kind: KernelKind,
-    ) -> Vec<Vec<i64>> {
-        assert!(!caches.is_empty(), "need at least one worker cache");
-        for cache in caches.iter() {
-            assert!(
-                self.cache_matches(cache),
-                "session cache belongs to a network with a different word \
-                 length or alphabet assignment"
-            );
-        }
-        let workers = caches.len();
-        run_chunked(
-            caches,
-            images.len(),
-            default_chunk_size(images.len(), workers),
-            |cache, range| {
-                range
-                    .map(|i| self.forward_layers_sharded(&images[i], None, cache, 1, kind))
-                    .collect()
-            },
+        self.forward_layers(
+            image,
+            None,
+            &mut self.session_cache(),
+            1,
+            kernel::default_kernel(),
         )
     }
 
-    /// Runs a whole batch through the **batch-major** datapath
-    /// (DESIGN.md §10): images advance layer-by-layer *together* in lane
-    /// blocks of [`LANE_BLOCK`], each dense/conv layer transposing its
-    /// prefilled bank rows so one weight's term byte is applied to every
-    /// lane under a single shared shift — the per-row term reload the
-    /// row-major loop pays per image disappears. Row `i` of the result
-    /// is bit-identical to
-    /// `infer_raw_with_cache_kernel(&images[i], cache, kind)`: lanes are
-    /// independent batch rows and each lane's `i64` accumulator chain
-    /// runs strictly in fan-in order, so flipping the layout moves
-    /// work, never bits (§8/§10).
+    /// Runs a batch under a resolved [`ExecPlan`], reusing caller-held
+    /// [`SessionCache`]s — the one batch entry point every session,
+    /// scheduler and evaluator dispatches through. Row `i` of the result
+    /// is bit-identical to `infer_raw(&images[i])` for every plan:
     ///
-    /// Like the row-major vector kernels, the batch-major MAC loop runs
-    /// over the prefilled bank arena alone and never reads (or fills)
-    /// the warm product plane — a plane-backed cache is valid and still
-    /// bit-identical. Pool layers and the output stages loop lanes
-    /// through the existing scalar arithmetic (a vanishing fraction of
-    /// the MACs).
+    /// * `Sequential` runs the batch on `caches[0]`;
+    /// * `Rows { workers }` shards the rows over the first `workers`
+    ///   caches, one row's whole forward pass per thread (row-major
+    ///   deals fine-grained chunks for load balance; batch-major hands
+    ///   every worker one contiguous chunk, so its lane blocks stay as
+    ///   wide as the rows allow);
+    /// * `Neurons { workers }` runs the rows in order on `caches[0]`,
+    ///   sharding each large layer's output neurons over `workers`
+    ///   threads (row-major only; batch-major ignores it).
     ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_raw_with_cache`], for every image.
-    pub fn infer_batch_raw_batch_major_kernel(
-        &self,
-        images: &[Vec<f32>],
-        cache: &mut SessionCache,
-        kind: KernelKind,
-    ) -> Vec<Vec<i64>> {
-        assert!(
-            self.cache_matches(cache),
-            "session cache belongs to a network with a different word \
-             length or alphabet assignment"
-        );
-        let mut out = Vec::with_capacity(images.len());
-        for block in images.chunks(LANE_BLOCK) {
-            out.extend(self.forward_lane_block(block, cache, kind));
-        }
-        out
-    }
-
-    /// [`FixedNet::infer_batch_raw_batch_major_kernel`] with the batch
-    /// row-sharded across one worker per element of `caches`. Unlike the
-    /// row-major [`FixedNet::infer_batch_raw_par_kernel`] (which deals
-    /// fine-grained chunks for load balance), each worker gets one
-    /// contiguous chunk: batch-major throughput comes from lane width,
-    /// so the split should hand every worker the widest blocks it can.
+    /// Row-major runs each image through the per-image kernels;
+    /// batch-major advances images layer by layer in lane blocks of
+    /// [`LANE_BLOCK`] (DESIGN.md §10). Every output neuron's
+    /// accumulator chain runs whole, on one thread, in fan-in order,
+    /// and caches only memoize pure functions of the compiled network,
+    /// so the plan moves work, never bits.
     ///
     /// # Panics
     ///
-    /// As [`FixedNet::infer_batch_raw_par`].
-    pub fn infer_batch_raw_batch_major_par_kernel(
+    /// Panics if `caches` is empty, if any cache was created by a
+    /// network with a different word length or alphabet assignment (its
+    /// banks would silently corrupt this network's products), or if an
+    /// image does not hold [`FixedNet::input_len`] values.
+    pub fn infer_batch<I: AsRef<[f32]> + Sync>(
         &self,
-        images: &[Vec<f32>],
+        images: &[I],
         caches: &mut [&mut SessionCache],
-        kind: KernelKind,
+        plan: ExecPlan,
     ) -> Vec<Vec<i64>> {
         assert!(!caches.is_empty(), "need at least one worker cache");
         for cache in caches.iter() {
@@ -1435,15 +1135,49 @@ impl FixedNet {
                  length or alphabet assignment"
             );
         }
-        let workers = caches.len();
-        let chunk = images.len().div_ceil(workers).max(1);
-        run_chunked(caches, images.len(), chunk, |cache, range| {
-            let mut out = Vec::with_capacity(range.len());
-            for block in images[range].chunks(LANE_BLOCK) {
-                out.extend(self.forward_lane_block(block, cache, kind));
+        let ExecPlan {
+            shard,
+            kernel,
+            layout,
+        } = plan;
+        match shard {
+            ShardPlan::Rows { workers } => {
+                let engaged = workers.clamp(1, caches.len());
+                let caches = &mut caches[..engaged];
+                let chunk = match layout {
+                    LayoutKind::RowMajor => default_chunk_size(images.len(), caches.len()),
+                    LayoutKind::BatchMajor => images.len().div_ceil(caches.len()).max(1),
+                };
+                run_chunked(caches, images.len(), chunk, |cache, range| {
+                    self.forward_rows(&images[range], cache, 1, kernel, layout)
+                })
             }
-            out
-        })
+            ShardPlan::Sequential | ShardPlan::Neurons { .. } => {
+                self.forward_rows(images, caches[0], shard.workers(), kernel, layout)
+            }
+        }
+    }
+
+    /// Runs `images` in order on one cache: per image (row-major, with
+    /// `workers`-way neuron sharding) or per lane block (batch-major).
+    fn forward_rows<I: AsRef<[f32]>>(
+        &self,
+        images: &[I],
+        cache: &mut SessionCache,
+        workers: usize,
+        kind: KernelKind,
+        layout: LayoutKind,
+    ) -> Vec<Vec<i64>> {
+        match layout {
+            LayoutKind::RowMajor => images
+                .iter()
+                .map(|image| self.forward_layers(image.as_ref(), None, cache, workers, kind))
+                .collect(),
+            LayoutKind::BatchMajor => images
+                .chunks(LANE_BLOCK)
+                .flat_map(|block| self.forward_lane_block(block, cache, kind))
+                .collect(),
+        }
     }
 
     /// One lane block's forward pass — the batch-major engine loop. All
@@ -1454,9 +1188,9 @@ impl FixedNet {
     /// and the output stages loop the lanes through the scalar path.
     /// Accumulators are laid out `accs[o * width + b]` (output-major)
     /// so each kernel call writes one contiguous lane group.
-    fn forward_lane_block(
+    fn forward_lane_block<I: AsRef<[f32]>>(
         &self,
-        images: &[Vec<f32>],
+        images: &[I],
         cache: &mut SessionCache,
         kind: KernelKind,
     ) -> Vec<Vec<i64>> {
@@ -1469,6 +1203,7 @@ impl FixedNet {
         let mut xs: Vec<Vec<SignedAct>> = images
             .iter()
             .map(|image| {
+                let image = image.as_ref();
                 assert_eq!(
                     image.len(),
                     self.input_len(),
@@ -1713,28 +1448,19 @@ impl FixedNet {
     /// shared across the whole set (results are bit-identical to
     /// per-image [`FixedNet::predict`] calls).
     pub fn accuracy(&self, images: &[Vec<f32>], labels: &[usize]) -> f64 {
-        assert_eq!(images.len(), labels.len());
-        if images.is_empty() {
-            return 0.0;
-        }
-        let mut cache = self.session_cache();
-        let correct = images
-            .iter()
-            .zip(labels)
-            .filter(|(img, &l)| argmax_raw(&self.forward_layers(img, None, &mut cache)) == l)
-            .count();
-        correct as f64 / images.len() as f64
+        self.accuracy_par(images, labels, Parallelism::Sequential)
     }
 
     /// [`FixedNet::accuracy`] parallelized across `parallelism` workers.
     /// Exactly the same count as the sequential pass — inference is
-    /// deterministic per row — just faster on multi-core hosts.
-    /// `Threads(n)` row-shards the set across `n` bank caches; under
-    /// [`Parallelism::Auto`] the `man-par` decision table (compile-time
-    /// MACs per row × set size) resolves the whole plan, so tiny
-    /// evaluation sets skip the pool handoff entirely and a *small* set
-    /// of *large* rows neuron-shards each row's layers instead of
-    /// starving on rows.
+    /// deterministic per row — just faster on multi-core hosts. The
+    /// whole set is one batch resolved by [`ExecRequest::resolve`], the
+    /// rule sessions use: `Threads(n)` row-shards the set across `n`
+    /// bank caches; under [`Parallelism::Auto`] the `man-par` decision
+    /// table (compile-time MACs per row × set size) resolves the plan,
+    /// so tiny evaluation sets skip the pool handoff entirely and a
+    /// *small* set of *large* rows neuron-shards each row's layers
+    /// instead of starving on rows.
     ///
     /// # Panics
     ///
@@ -1745,69 +1471,23 @@ impl FixedNet {
         labels: &[usize],
         parallelism: Parallelism,
     ) -> f64 {
-        use man_par::ShardPlan;
         assert_eq!(images.len(), labels.len());
         if images.is_empty() {
             return 0.0;
         }
-        let plan = match parallelism {
-            Parallelism::Auto => man_par::plan_shards(
-                &man_par::AutoContext {
-                    macs_per_row: self.macs_per_inference(),
-                    batch: images.len(),
-                    streams: 1,
-                    cores: man_par::available_cores(),
-                },
-                &man_par::AutoTuning::default(),
-            ),
-            // Static request: row sharding, the historical behavior.
-            other => match other.workers().min(images.len()) {
-                0 | 1 => ShardPlan::Sequential,
-                workers => ShardPlan::Rows { workers },
-            },
-        };
-        match plan {
-            ShardPlan::Sequential => self.accuracy(images, labels),
-            ShardPlan::Neurons { workers } => {
-                // Few large rows: walk them in order, sharding each
-                // row's big layers across the pool (bit-identical — see
-                // `run_mac_layer`).
-                let mut cache = self.session_cache();
-                let correct = images
-                    .iter()
-                    .zip(labels)
-                    .filter(|(img, &l)| {
-                        argmax_raw(&self.forward_layers_sharded(
-                            img,
-                            None,
-                            &mut cache,
-                            workers,
-                            kernel::default_kernel(),
-                        )) == l
-                    })
-                    .count();
-                correct as f64 / images.len() as f64
-            }
-            ShardPlan::Rows { workers } => {
-                let workers = workers.min(images.len()).max(1);
-                let mut caches: Vec<SessionCache> =
-                    (0..workers).map(|_| self.session_cache()).collect();
-                let hits = run_chunked(
-                    &mut caches,
-                    images.len(),
-                    default_chunk_size(images.len(), workers),
-                    |cache, range| {
-                        range
-                            .map(|i| {
-                                (argmax_raw(&self.forward_layers(&images[i], None, cache))
-                                    == labels[i]) as u64
-                            })
-                            .collect()
-                    },
-                );
-                hits.iter().sum::<u64>() as f64 / images.len() as f64
-            }
-        }
+        let plan =
+            ExecRequest::new(parallelism, self.macs_per_inference()).resolve(images.len(), 1);
+        let mut caches: Vec<SessionCache> = (0..plan.cache_slots())
+            .map(|_| self.session_cache())
+            .collect();
+        let mut refs: Vec<&mut SessionCache> = caches.iter_mut().collect();
+        let correct = self
+            .infer_batch(images, &mut refs, plan)
+            .iter()
+            .zip(labels)
+            .filter(|(scores, &l)| argmax_raw(scores) == l)
+            .count();
+        correct as f64 / images.len() as f64
     }
 
     /// Runs inferences over `images` collecting per-layer operand traces
@@ -1819,7 +1499,13 @@ impl FixedNet {
             .collect();
         let mut cache = self.session_cache();
         for image in images {
-            let _ = self.forward_layers(image, Some(&mut traces), &mut cache);
+            let _ = self.forward_layers(
+                image,
+                Some(&mut traces),
+                &mut cache,
+                1,
+                kernel::default_kernel(),
+            );
             if traces.iter().all(LayerTrace::full) {
                 break;
             }
@@ -1833,8 +1519,7 @@ impl FixedNet {
     /// # Panics
     ///
     /// Panics if `cache` was created by a network with a different word
-    /// length or alphabet assignment (as
-    /// [`FixedNet::infer_raw_with_cache`]).
+    /// length or alphabet assignment (as [`FixedNet::infer_batch`]).
     pub fn infer_raw_traced(
         &self,
         image: &[f32],
@@ -1849,7 +1534,8 @@ impl FixedNet {
         let mut traces: Vec<LayerTrace> = (0..self.layers.len())
             .map(|_| LayerTrace::new(limit))
             .collect();
-        let logits = self.forward_layers(image, Some(&mut traces), cache);
+        let logits =
+            self.forward_layers(image, Some(&mut traces), cache, 1, kernel::default_kernel());
         (logits, traces)
     }
 }
@@ -2022,118 +1708,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_is_bit_identical_to_plain_cache() {
-        for (bits, set) in [
-            (8, AlphabetSet::a1()),
-            (8, AlphabetSet::a4()),
-            (12, AlphabetSet::a2()),
-        ] {
-            let mut net = tiny_net(40 + bits as u64 + set.len() as u64);
-            let spec = QuantSpec::fit(&net, bits);
-            let alphabets = LayerAlphabets::uniform(set, 2);
-            constrain_net(&mut net, &spec, &alphabets);
-            let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-            let mut plain = fixed.session_cache();
-            let mut warm = fixed.session_cache_warm();
-            assert!(warm.has_product_plane(), "bits={bits} should get a plane");
-            for i in 0..12 {
-                let x: Vec<f32> = (0..16)
-                    .map(|j| ((i * 13 + j * 5) % 17) as f32 / 17.0)
-                    .collect();
-                assert_eq!(
-                    fixed.infer_raw_with_cache(&x, &mut plain),
-                    fixed.infer_raw_with_cache(&x, &mut warm),
-                    "bits={bits}: warm cache must not change a single bit"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn warm_cache_skips_plane_for_wide_words() {
-        let net = tiny_net(41);
-        let spec = QuantSpec::fit(&net, PRODUCT_PLANE_MAX_BITS + 1);
-        let alphabets = LayerAlphabets::uniform(AlphabetSet::a8(), 2);
-        let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        assert!(!fixed.session_cache_warm().has_product_plane());
-    }
-
-    #[test]
-    fn neuron_sharded_inference_is_bit_identical() {
-        // A wide hidden layer so the shard threshold (outputs >= 4·workers)
-        // actually engages, plain and warm caches, several thread counts.
-        let mut rng = SmallRng::seed_from_u64(77);
-        let mut net = Network::new(vec![
-            Layer::Dense(Dense::new(16, 64, &mut rng)),
-            Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-            Layer::Dense(Dense::new(64, 10, &mut rng)),
-        ]);
-        let spec = QuantSpec::fit(&net, 8);
-        let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), 2);
-        constrain_net(&mut net, &spec, &alphabets);
-        let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        for warm in [false, true] {
-            let mk = || {
-                if warm {
-                    fixed.session_cache_warm()
-                } else {
-                    fixed.session_cache()
-                }
-            };
-            let mut seq_cache = mk();
-            for i in 0..6 {
-                let x: Vec<f32> = (0..16)
-                    .map(|j| ((i * 11 + j * 3) % 13) as f32 / 13.0)
-                    .collect();
-                let seq = fixed.infer_raw_with_cache(&x, &mut seq_cache);
-                for threads in [1usize, 2, 3, 8] {
-                    let mut cache = mk();
-                    assert_eq!(
-                        fixed.infer_raw_with_cache_par(
-                            &x,
-                            &mut cache,
-                            Parallelism::Threads(threads)
-                        ),
-                        seq,
-                        "warm={warm} threads={threads}: sharding must not change a bit"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_sharded_batch_is_bit_identical() {
-        let mut net = tiny_net(78);
-        let spec = QuantSpec::fit(&net, 8);
-        let alphabets = LayerAlphabets::uniform(AlphabetSet::a1(), 2);
-        constrain_net(&mut net, &spec, &alphabets);
-        let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        let images: Vec<Vec<f32>> = (0..17)
-            .map(|i| (0..16).map(|j| ((i * 5 + j) % 11) as f32 / 11.0).collect())
-            .collect();
-        let mut seq_cache = fixed.session_cache();
-        let seq: Vec<Vec<i64>> = images
-            .iter()
-            .map(|x| fixed.infer_raw_with_cache(x, &mut seq_cache))
-            .collect();
-        for workers in [1usize, 2, 4] {
-            let mut caches: Vec<SessionCache> =
-                (0..workers).map(|_| fixed.session_cache()).collect();
-            let mut refs: Vec<&mut SessionCache> = caches.iter_mut().collect();
-            assert_eq!(
-                fixed.infer_batch_raw_par(&images, &mut refs),
-                seq,
-                "{workers} worker caches"
-            );
-        }
-        // Degenerate batches.
-        let mut caches = vec![fixed.session_cache(); 4];
-        let mut refs: Vec<&mut SessionCache> = caches.iter_mut().collect();
-        assert!(fixed.infer_batch_raw_par(&[], &mut refs).is_empty());
-    }
-
-    #[test]
     fn parallel_accuracy_matches_sequential() {
         let mut net = tiny_net(79);
         let spec = QuantSpec::fit(&net, 8);
@@ -2158,22 +1732,46 @@ mod tests {
         }
     }
 
-    /// Every resolved kernel (scalar reference, portable SWAR, AVX2
-    /// when the host has it) produces bit-identical logits on dense
-    /// *and* convolutional networks, plain and warm caches, sequential
-    /// and neuron-sharded — the engine-level half of the §10
-    /// bit-exactness contract (the kernel-level half is exhaustive in
-    /// `crate::kernel`'s tests).
+    /// The engine-level half of the §10 bit-exactness contract (the
+    /// kernel-level half is exhaustive in `crate::kernel`'s tests):
+    /// [`FixedNet::infer_batch`] under every shard plan × resolved
+    /// kernel (scalar reference, portable SWAR, AVX2 when the host has
+    /// it) × layout returns exactly [`FixedNet::infer_raw`]'s logits, on
+    /// dense *and* convolutional networks, across batch sizes straddling
+    /// the [`LANE_BLOCK`] boundary, with worker caches reused across
+    /// calls.
     #[test]
-    fn all_kernels_are_bit_identical_on_dense_and_conv() {
+    fn every_exec_plan_is_bit_identical_to_infer_raw() {
         use man_nn::layers::{Conv2d, ScaledAvgPool};
         let mut kinds = vec![KernelKind::Scalar, KernelKind::Swar];
         if crate::kernel::avx2_available() {
             kinds.push(KernelKind::Avx2);
         }
+        let shards = [
+            ShardPlan::Sequential,
+            ShardPlan::Rows { workers: 1 },
+            ShardPlan::Rows { workers: 2 },
+            ShardPlan::Rows { workers: 3 },
+            ShardPlan::Rows { workers: 4 },
+            ShardPlan::Neurons { workers: 2 },
+            ShardPlan::Neurons { workers: 3 },
+            ShardPlan::Neurons { workers: 8 },
+        ];
         let mut rng = SmallRng::seed_from_u64(91);
-        let nets: Vec<(Network, usize, u32)> = vec![
-            // A wide MLP (dense SoA path, shard threshold engages).
+        let nets: Vec<(Network, usize, u32, AlphabetSet)> = vec![
+            (tiny_net(78), 16, 8, AlphabetSet::a1()),
+            // A wide hidden layer, so the neuron-shard threshold
+            // (outputs >= 4·workers) engages.
+            (
+                Network::new(vec![
+                    Layer::Dense(Dense::new(16, 64, &mut rng)),
+                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+                    Layer::Dense(Dense::new(64, 10, &mut rng)),
+                ]),
+                16,
+                8,
+                AlphabetSet::a2(),
+            ),
             (
                 Network::new(vec![
                     Layer::Dense(Dense::new(18, 48, &mut rng)),
@@ -2182,6 +1780,7 @@ mod tests {
                 ]),
                 18,
                 8,
+                AlphabetSet::a2(),
             ),
             // A conv → pool → dense LeNet-style stack (conv SoA path,
             // requant stage, signed activations into the pool layer).
@@ -2196,144 +1795,41 @@ mod tests {
                 ]),
                 100,
                 12,
+                AlphabetSet::a2(),
             ),
         ];
-        for (mut net, in_len, bits) in nets {
+        for (mut net, in_len, bits, set) in nets {
             let spec = QuantSpec::fit(&net, bits);
-            let layers = spec.layer_formats().len();
-            let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), layers);
+            let alphabets = LayerAlphabets::uniform(set, spec.layer_formats().len());
             constrain_net(&mut net, &spec, &alphabets);
             let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-            let images: Vec<Vec<f32>> = (0..5)
-                .map(|i| {
-                    (0..in_len)
-                        .map(|j| ((i * 17 + j * 7) % 23) as f32 / 23.0)
-                        .collect()
-                })
-                .collect();
-            let mut ref_cache = fixed.session_cache();
-            let reference: Vec<Vec<i64>> = images
-                .iter()
-                .map(|x| fixed.infer_raw_with_cache_kernel(x, &mut ref_cache, KernelKind::Scalar))
-                .collect();
-            for &kind in &kinds {
-                for warm in [false, true] {
-                    let mut cache = if warm {
-                        fixed.session_cache_warm()
-                    } else {
-                        fixed.session_cache()
-                    };
-                    for (x, want) in images.iter().zip(&reference) {
-                        assert_eq!(
-                            &fixed.infer_raw_with_cache_kernel(x, &mut cache, kind),
-                            want,
-                            "bits={bits} kernel={} warm={warm}",
-                            kind.label()
-                        );
-                        assert_eq!(
-                            &fixed.infer_raw_with_cache_par_kernel(
-                                x,
-                                &mut cache,
-                                Parallelism::Threads(3),
-                                kind
-                            ),
-                            want,
-                            "bits={bits} kernel={} warm={warm} sharded",
-                            kind.label()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The batch-major engine path (every kernel kind, plain and warm
-    /// caches, sequential and row-sharded) is bit-identical to the
-    /// row-major scalar reference on dense *and* conv stacks, across
-    /// batch sizes straddling the [`LANE_BLOCK`] boundary — the
-    /// engine-level half of the §10 layout contract (the kernel-level
-    /// half is exhaustive in `crate::kernel`'s tests).
-    #[test]
-    fn batch_major_is_bit_identical_on_dense_and_conv() {
-        use man_nn::layers::{Conv2d, ScaledAvgPool};
-        let mut kinds = vec![KernelKind::Scalar, KernelKind::Swar];
-        if crate::kernel::avx2_available() {
-            kinds.push(KernelKind::Avx2);
-        }
-        let mut rng = SmallRng::seed_from_u64(92);
-        let nets: Vec<(Network, usize, u32)> = vec![
-            (
-                Network::new(vec![
-                    Layer::Dense(Dense::new(18, 48, &mut rng)),
-                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-                    Layer::Dense(Dense::new(48, 5, &mut rng)),
-                ]),
-                18,
-                8,
-            ),
-            (
-                Network::new(vec![
-                    Layer::Conv2d(Conv2d::new(1, 4, 3, 10, 10, &mut rng)),
-                    Layer::ScaledAvgPool(ScaledAvgPool::new(4, 8, 8)),
-                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-                    Layer::Dense(Dense::new(4 * 4 * 4, 3, &mut rng)),
-                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-                    Layer::Dense(Dense::new(3, 2, &mut rng)),
-                ]),
-                100,
-                12,
-            ),
-        ];
-        for (mut net, in_len, bits) in nets {
-            let spec = QuantSpec::fit(&net, bits);
-            let layers = spec.layer_formats().len();
-            let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), layers);
-            constrain_net(&mut net, &spec, &alphabets);
-            let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-            // Batches straddling the lane-block boundary: empty, one
-            // lane, a partial block, exactly one block, block + tail.
-            for batch in [0usize, 1, 5, LANE_BLOCK, LANE_BLOCK + 5] {
-                let images: Vec<Vec<f32>> = (0..batch)
-                    .map(|i| {
-                        (0..in_len)
-                            .map(|j| ((i * 17 + j * 7) % 23) as f32 / 23.0)
-                            .collect()
-                    })
-                    .collect();
-                let mut ref_cache = fixed.session_cache();
-                let reference: Vec<Vec<i64>> = images
-                    .iter()
-                    .map(|x| {
-                        fixed.infer_raw_with_cache_kernel(x, &mut ref_cache, KernelKind::Scalar)
-                    })
-                    .collect();
-                for &kind in &kinds {
-                    for warm in [false, true] {
-                        let mk = || {
-                            if warm {
-                                fixed.session_cache_warm()
-                            } else {
-                                fixed.session_cache()
-                            }
-                        };
-                        let mut cache = mk();
-                        assert_eq!(
-                            fixed.infer_batch_raw_batch_major_kernel(&images, &mut cache, kind),
-                            reference,
-                            "bits={bits} kernel={} warm={warm} batch={batch}",
-                            kind.label()
-                        );
-                        for workers in [1usize, 3] {
-                            let mut caches: Vec<SessionCache> =
-                                (0..workers).map(|_| mk()).collect();
+            for &kernel in &kinds {
+                for layout in [LayoutKind::RowMajor, LayoutKind::BatchMajor] {
+                    let mut caches = vec![fixed.session_cache(); 4];
+                    // Empty, one lane, a partial block, exactly one
+                    // block, block + 1, block + tail.
+                    for batch in [0usize, 1, 5, LANE_BLOCK, LANE_BLOCK + 1, LANE_BLOCK + 5] {
+                        let images: Vec<Vec<f32>> = (0..batch)
+                            .map(|i| {
+                                (0..in_len)
+                                    .map(|j| ((i * 17 + j * 7) % 23) as f32 / 23.0)
+                                    .collect()
+                            })
+                            .collect();
+                        let reference: Vec<Vec<i64>> =
+                            images.iter().map(|x| fixed.infer_raw(x)).collect();
+                        for shard in shards {
+                            let plan = ExecPlan {
+                                shard,
+                                kernel,
+                                layout,
+                            };
                             let mut refs: Vec<&mut SessionCache> = caches.iter_mut().collect();
                             assert_eq!(
-                                fixed.infer_batch_raw_batch_major_par_kernel(
-                                    &images, &mut refs, kind
-                                ),
+                                fixed.infer_batch(&images, &mut refs, plan),
                                 reference,
-                                "bits={bits} kernel={} warm={warm} batch={batch} workers={workers}",
-                                kind.label()
+                                "bits={bits} batch={batch} plan={}",
+                                plan.label()
                             );
                         }
                     }
@@ -2354,7 +1850,11 @@ mod tests {
         let images: Vec<Vec<f32>> = (0..4)
             .map(|i| (0..16).map(|j| ((i * 5 + j) % 11) as f32 / 11.0).collect())
             .collect();
-        let _ = fixed.infer_batch_raw_batch_major_kernel(&images, &mut cache, KernelKind::Swar);
+        let plan = ExecPlan {
+            layout: LayoutKind::BatchMajor,
+            ..ExecPlan::sequential(KernelKind::Swar)
+        };
+        let _ = fixed.infer_batch(&images, &mut [&mut cache], plan);
         let used = cache.footprint();
         assert!(
             used.transpose_bytes > 0,
@@ -2362,7 +1862,7 @@ mod tests {
         );
         assert_eq!(
             used.total_bytes(),
-            used.layer_bank_bytes.iter().sum::<usize>() + used.plane_bytes + used.transpose_bytes
+            used.layer_bank_bytes.iter().sum::<usize>() + used.transpose_bytes
         );
         cache.shrink_to_fit();
         assert_eq!(
@@ -2372,29 +1872,29 @@ mod tests {
         );
         // The freed cache still serves batch-major inference (the next
         // dispatch rebuilds the scratch at the live layer's size).
-        let again = fixed.infer_batch_raw_batch_major_kernel(&images, &mut cache, KernelKind::Swar);
+        let again = fixed.infer_batch(&images, &mut [&mut cache], plan);
         assert_eq!(again.len(), images.len());
     }
 
     #[test]
-    fn cache_footprint_reports_banks_and_plane() {
+    fn cache_footprint_reports_banks() {
         let mut net = tiny_net(90);
         let spec = QuantSpec::fit(&net, 8);
         let alphabets = LayerAlphabets::uniform(AlphabetSet::a4(), 2);
         constrain_net(&mut net, &spec, &alphabets);
         let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        let mut cache = fixed.session_cache_warm();
+        let mut cache = fixed.session_cache();
         let empty = cache.footprint();
         assert_eq!(empty.layer_bank_bytes.len(), 2);
-        assert_eq!(empty.plane_bytes, 128 * 128 * 4, "8-bit plane is 64 KiB");
         let x: Vec<f32> = (0..16).map(|j| (j % 7) as f32 / 7.0).collect();
-        let _ = fixed.infer_raw_with_cache(&x, &mut cache);
+        let plan = ExecPlan::sequential(KernelKind::Scalar);
+        let _ = fixed.infer_batch(&[x], &mut [&mut cache], plan);
         let filled = cache.footprint();
         assert!(
             filled.layer_bank_bytes[0] > empty.layer_bank_bytes[0],
             "inference fills bank rows: {filled:?}"
         );
-        assert!(filled.total_bytes() > filled.plane_bytes);
+        assert!(filled.total_bytes() > empty.total_bytes());
         cache.shrink_to_fit();
         assert!(cache.footprint().total_bytes() <= filled.total_bytes());
         assert!(fixed.kernel_plan_bytes() > 0);

@@ -57,7 +57,7 @@
 
 use std::sync::OnceLock;
 
-use man_par::{AutoTuning, Kernel, Layout};
+use man_par::{AutoContext, AutoTuning, Kernel, Layout, Parallelism, ShardPlan};
 
 use crate::asm::{AsmMultiplier, AsmPlan};
 
@@ -226,6 +226,142 @@ pub fn resolve_layout(
     match requested {
         Layout::BatchMajor if batch >= 2 => LayoutKind::BatchMajor,
         _ => LayoutKind::RowMajor,
+    }
+}
+
+/// How one batch runs on all three tuner axes — the plan
+/// [`crate::fixed::FixedNet::infer_batch`] executes. Every plan returns
+/// bit-identical logits; the choice only moves wall-clock time.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ExecPlan {
+    /// Sequential, row-sharded or neuron-sharded.
+    pub shard: ShardPlan,
+    /// The MAC kernel every dense/conv layer runs.
+    pub kernel: KernelKind,
+    /// Row-major (per-image kernels) or batch-major (lane blocks).
+    pub layout: LayoutKind,
+}
+
+impl ExecPlan {
+    /// The sequential row-major plan under `kernel`.
+    pub fn sequential(kernel: KernelKind) -> Self {
+        Self {
+            shard: ShardPlan::Sequential,
+            kernel,
+            layout: LayoutKind::RowMajor,
+        }
+    }
+
+    /// Worker caches the plan engages: one per row shard, else one.
+    pub fn cache_slots(self) -> usize {
+        match self.shard {
+            ShardPlan::Rows { workers } => workers,
+            ShardPlan::Sequential | ShardPlan::Neurons { .. } => 1,
+        }
+    }
+
+    /// The plan × kernel × layout label (`"rows(4)+swar+batch"`).
+    pub fn label(self) -> String {
+        self.shard
+            .label_with_kernel_layout(self.kernel.label(), self.layout.label())
+    }
+}
+
+/// What a caller asks for on every tuner axis — the inputs
+/// [`ExecRequest::resolve`] turns into the [`ExecPlan`] of one batch.
+/// Sessions and `FixedNet::accuracy_par` resolve through this one
+/// function, so every resolution rule lives here.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExecRequest {
+    /// The worker budget and sharding request.
+    pub parallelism: Parallelism,
+    /// The MAC-kernel request ([`Kernel::Auto`] defers to
+    /// [`AutoTuning::kernel`]).
+    pub kernel: Kernel,
+    /// The layout request ([`Layout::Auto`] defers to
+    /// [`AutoTuning::layout`]).
+    pub layout: Layout,
+    /// The [`Parallelism::Auto`] decision-table thresholds.
+    pub tuning: AutoTuning,
+    /// Compile-time MACs per inference — the tuner's work measure.
+    pub macs_per_row: u64,
+    /// Operand tracing is on (the operand stream is ordered per image).
+    pub traced: bool,
+}
+
+impl ExecRequest {
+    /// Every axis on `Auto` under the default tuning, untraced.
+    pub fn new(parallelism: Parallelism, macs_per_row: u64) -> Self {
+        Self {
+            parallelism,
+            kernel: Kernel::Auto,
+            layout: Layout::Auto,
+            tuning: AutoTuning::default(),
+            macs_per_row,
+            traced: false,
+        }
+    }
+
+    /// The MAC kernel this request runs: the explicit request, else
+    /// the tuning's kernel axis, through [`resolve`] (which folds in
+    /// `MAN_KERNEL`).
+    pub fn kernel(&self) -> KernelKind {
+        resolve(match self.kernel {
+            Kernel::Auto => self.tuning.kernel,
+            explicit => explicit,
+        })
+    }
+
+    /// Resolves a batch of `batch` rows with `streams` concurrent batch
+    /// streams (≥ 1) competing for the same cores:
+    ///
+    /// * tracing, or an empty batch, runs sequential row-major;
+    /// * `Sequential` stays sequential; `Threads(n)` row-shards over
+    ///   `min(n, batch)` workers, or neuron-shards a lone row; `Auto`
+    ///   consults [`man_par::plan_shards`];
+    /// * the layout resolves through [`resolve_layout`] (explicit
+    ///   request, else the tuning's axis, `MAN_LAYOUT` and
+    ///   [`man_par::plan_layout`]; fewer than two rows run row-major);
+    /// * under batch-major a `Neurons` plan becomes `Rows` over the
+    ///   same budget, since lanes consume whole rows.
+    pub fn resolve(&self, batch: usize, streams: usize) -> ExecPlan {
+        let kernel = self.kernel();
+        if self.traced || batch == 0 {
+            return ExecPlan::sequential(kernel);
+        }
+        let slots = self.parallelism.workers();
+        let mut shard = match self.parallelism {
+            Parallelism::Sequential => ShardPlan::Sequential,
+            Parallelism::Threads(_) if slots <= 1 => ShardPlan::Sequential,
+            Parallelism::Threads(_) if batch == 1 => ShardPlan::Neurons { workers: slots },
+            Parallelism::Threads(_) => ShardPlan::Rows {
+                workers: slots.min(batch),
+            },
+            Parallelism::Auto => man_par::plan_shards(
+                &AutoContext {
+                    macs_per_row: self.macs_per_row,
+                    batch,
+                    streams,
+                    cores: slots,
+                },
+                &self.tuning,
+            ),
+        };
+        let request = match self.layout {
+            Layout::Auto => self.tuning.layout,
+            explicit => explicit,
+        };
+        let layout = resolve_layout(request, batch, self.macs_per_row, &self.tuning);
+        if let (LayoutKind::BatchMajor, ShardPlan::Neurons { workers }) = (layout, shard) {
+            shard = ShardPlan::Rows {
+                workers: workers.min(batch),
+            };
+        }
+        ExecPlan {
+            shard,
+            kernel,
+            layout,
+        }
     }
 }
 
@@ -1289,6 +1425,82 @@ mod tests {
         assert_eq!(LayoutKind::BatchMajor.label(), "batch");
         assert!(LayoutKind::BatchMajor.is_batch_major());
         assert!(!LayoutKind::RowMajor.is_batch_major());
+    }
+
+    #[test]
+    fn exec_request_resolution_rules_hold() {
+        let rows = |workers| ShardPlan::Rows { workers };
+        let request = |parallelism, layout| ExecRequest {
+            kernel: Kernel::Swar,
+            layout,
+            ..ExecRequest::new(parallelism, 1_000_000)
+        };
+        let threads = request(Parallelism::Threads(4), Layout::RowMajor);
+        // The static Threads(n) plan: rows when the batch has them,
+        // neurons for a lone row, nothing to do for an empty batch.
+        assert_eq!(threads.resolve(64, 1).shard, rows(4));
+        assert_eq!(threads.resolve(3, 1).shard, rows(3));
+        assert_eq!(
+            threads.resolve(1, 1).shard,
+            ShardPlan::Neurons { workers: 4 }
+        );
+        assert_eq!(
+            threads.resolve(0, 1),
+            ExecPlan::sequential(KernelKind::Swar)
+        );
+        assert_eq!(
+            request(Parallelism::Threads(1), Layout::RowMajor)
+                .resolve(64, 1)
+                .shard,
+            ShardPlan::Sequential
+        );
+        // Batch-major turns a Neurons plan into Rows over the same
+        // budget, and a lone row always runs row-major.
+        let batch_major = request(Parallelism::Auto, Layout::BatchMajor);
+        let lone = batch_major.resolve(1, 1);
+        assert_eq!(lone.layout, LayoutKind::RowMajor);
+        let pair = ExecRequest {
+            parallelism: Parallelism::Threads(4),
+            ..batch_major.clone()
+        }
+        .resolve(2, 1);
+        assert_eq!((pair.shard, pair.layout), (rows(2), LayoutKind::BatchMajor));
+        // Auto consults the decision table with the session's budget.
+        let auto = request(Parallelism::Auto, Layout::RowMajor);
+        let budget = Parallelism::Auto.workers();
+        let want = man_par::plan_shards(
+            &AutoContext {
+                macs_per_row: 1_000_000,
+                batch: 64,
+                streams: 2,
+                cores: budget,
+            },
+            &AutoTuning::default(),
+        );
+        assert_eq!(auto.resolve(64, 2).shard, want);
+        // Tracing runs sequential row-major whatever was asked.
+        let traced = ExecRequest {
+            traced: true,
+            ..batch_major
+        };
+        assert_eq!(
+            traced.resolve(64, 1),
+            ExecPlan::sequential(KernelKind::Swar)
+        );
+        // The kernel axis: explicit requests win, Auto defers to the
+        // tuning's axis.
+        let scalar_tuned = ExecRequest {
+            kernel: Kernel::Auto,
+            tuning: AutoTuning {
+                kernel: Kernel::Scalar,
+                ..AutoTuning::default()
+            },
+            ..threads
+        };
+        assert_eq!(scalar_tuned.kernel(), KernelKind::Scalar);
+        assert_eq!(scalar_tuned.resolve(64, 1).label(), "rows(4)+scalar+row");
+        assert_eq!(ExecPlan::sequential(KernelKind::Swar).cache_slots(), 1);
+        assert_eq!(threads.resolve(64, 1).cache_slots(), 4);
     }
 
     #[test]

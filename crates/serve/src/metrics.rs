@@ -24,8 +24,7 @@ use std::sync::Mutex;
 
 pub use man_obs::OctaveHistogram as LatencyHistogram;
 
-use man_par::ShardPlan;
-use man_repro::SessionStats;
+use man_repro::{ExecPlan, SessionStats};
 use serde::Serialize;
 
 /// Live counters for one hosted model. Shared (`Arc`) between the
@@ -69,19 +68,14 @@ pub struct ModelMetrics {
     session: Mutex<SessionObservation>,
 }
 
-/// The session snapshot the scheduler records. Plan and kernel are
-/// kept in their cheap `Copy` forms — labels are rendered at snapshot
-/// time, not on the dispatch hot path.
+/// The session snapshot the scheduler records. The plan is kept in its
+/// cheap `Copy` form — labels are rendered at snapshot time, not on the
+/// dispatch hot path.
 #[derive(Clone, Debug, Default)]
 struct SessionObservation {
-    plan: Option<ShardPlan>,
-    /// `""` until the first dispatch.
-    kernel: &'static str,
-    /// `""` until the first dispatch.
-    layout: &'static str,
+    plan: Option<ExecPlan>,
     layer_bank_bytes: Vec<u64>,
     bank_bytes: u64,
-    plane_bytes: u64,
     kernel_plan_bytes: u64,
     transpose_bytes: u64,
 }
@@ -118,17 +112,14 @@ impl ModelMetrics {
     }
 
     /// Records what a dispatch resolved to on all three tuner axes —
-    /// three `Copy` stores under a short lock, cheap enough for every
+    /// one `Copy` store under a short lock, cheap enough for every
     /// batch, so operators always see what the tuner actually chose
     /// last.
-    pub fn observe_plan(&self, plan: ShardPlan, kernel: &'static str, layout: &'static str) {
-        let mut obs = self
-            .session
+    pub fn observe_plan(&self, plan: ExecPlan) {
+        self.session
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        obs.plan = Some(plan);
-        obs.kernel = kernel;
-        obs.layout = layout;
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .plan = Some(plan);
     }
 
     /// Records a worker session's cache memory footprint. Walking the
@@ -142,7 +133,6 @@ impl ModelMetrics {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         obs.layer_bank_bytes = stats.layer_bank_bytes.clone();
         obs.bank_bytes = stats.bank_bytes;
-        obs.plane_bytes = stats.plane_bytes;
         obs.kernel_plan_bytes = stats.kernel_plan_bytes;
         obs.transpose_bytes = stats.transpose_bytes;
     }
@@ -151,17 +141,12 @@ impl ModelMetrics {
     /// (`None` before the first dispatch) — what the Prometheus
     /// exporter labels `man_serve_model_info` with.
     pub fn resolved_labels(&self) -> Option<(String, &'static str, &'static str)> {
-        let obs = self
+        let plan = self
             .session
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        obs.plan.map(|p| {
-            (
-                p.label_with_kernel_layout(obs.kernel, obs.layout),
-                obs.kernel,
-                obs.layout,
-            )
-        })
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .plan;
+        plan.map(|p| (p.label(), p.kernel.label(), p.layout.label()))
     }
 
     /// Aggregates the counters into a serializable snapshot.
@@ -226,23 +211,16 @@ impl ModelMetrics {
             queue_p50_us: queue_wait.quantile(0.50),
             queue_p95_us: queue_wait.quantile(0.95),
             queue_p99_us: queue_wait.quantile(0.99),
-            plan: obs
+            plan: obs.plan.map_or_else(unresolved, ExecPlan::label),
+            kernel: obs
                 .plan
-                .map(|p| p.label_with_kernel_layout(obs.kernel, obs.layout))
-                .unwrap_or_else(unresolved),
-            kernel: if obs.kernel.is_empty() {
-                unresolved()
-            } else {
-                obs.kernel.to_owned()
-            },
-            layout: if obs.layout.is_empty() {
-                unresolved()
-            } else {
-                obs.layout.to_owned()
-            },
+                .map_or_else(unresolved, |p| p.kernel.label().to_owned()),
+            layout: obs
+                .plan
+                .map_or_else(unresolved, |p| p.layout.label().to_owned()),
             cache_layer_bank_bytes: obs.layer_bank_bytes,
             cache_bank_bytes: obs.bank_bytes,
-            cache_plane_bytes: obs.plane_bytes,
+            cache_plane_bytes: 0,
             kernel_plan_bytes: obs.kernel_plan_bytes,
             cache_transpose_bytes: obs.transpose_bytes,
         }
@@ -307,8 +285,9 @@ pub struct ModelStats {
     pub cache_layer_bank_bytes: Vec<u64>,
     /// Total bank-arena bytes of the observed worker session.
     pub cache_bank_bytes: u64,
-    /// Product-plane bytes (0 outside `SessionMode::Warm`; the plane is
-    /// shared across worker slots and counted once).
+    /// Deprecated: always `0`. Sessions no longer hold a product plane;
+    /// the key stays in every `stats` reply because existing keys never
+    /// change (PROTOCOL.md §2.5).
     pub cache_plane_bytes: u64,
     /// Bytes of the engine's shared SoA kernel plans.
     pub kernel_plan_bytes: u64,

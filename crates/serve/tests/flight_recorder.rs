@@ -87,7 +87,7 @@ fn forced_overload_dumps_a_full_request_lifecycle() {
         max_wait: Duration::from_micros(200),
         queue_capacity: 2,
         workers: 1,
-        session_mode: SessionMode::Warm,
+        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     });

@@ -44,7 +44,7 @@ fn quick_config() -> BatchConfig {
         max_wait: Duration::from_micros(200),
         queue_capacity: 64,
         workers: 2,
-        session_mode: SessionMode::Warm,
+        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     }
@@ -137,7 +137,7 @@ fn full_queue_rejects_with_overloaded() {
         max_wait: Duration::ZERO,
         queue_capacity: 2,
         workers: 1,
-        session_mode: SessionMode::Warm,
+        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     });
@@ -344,6 +344,8 @@ fn tcp_roundtrip_load_predict_stats_unload() {
     let text = serde_json::to_string(&stats).expect("stats reserialize");
     assert!(text.contains("\"completed\":1"), "{text}");
     assert!(text.contains("\"p50_us\""), "{text}");
+    // Deprecated wire key: still in every reply, always 0.
+    assert!(text.contains("\"cache_plane_bytes\":0,"), "{text}");
 
     // unload, then the model is gone.
     client.unload("digits").expect("unload over the wire");
@@ -355,17 +357,13 @@ fn tcp_roundtrip_load_predict_stats_unload() {
 }
 
 #[test]
-fn cold_and_warm_modes_agree_bitwise() {
+fn cold_and_persistent_modes_agree_bitwise() {
     let model = compiled_model(7, AlphabetSet::a4());
     let mut reference = model.session();
     let expected: Vec<Vec<i64>> = (0..12)
         .map(|i| reference.infer(&probe_input(i)).expect("shape ok").scores)
         .collect();
-    for mode in [
-        SessionMode::Cold,
-        SessionMode::Persistent,
-        SessionMode::Warm,
-    ] {
+    for mode in [SessionMode::Cold, SessionMode::Persistent] {
         let registry = ModelRegistry::new(BatchConfig {
             session_mode: mode,
             ..quick_config()

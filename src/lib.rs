@@ -26,9 +26,9 @@
 //! * [`InferenceSession`] — batched serving with pre-computer banks
 //!   shared across the batch; [`Prediction`] carries argmax, raw scores
 //!   and opt-in per-layer traces. Shared-reference entry points
-//!   (`infer_shared` / `infer_batch_shared`) plus an opt-in warm product
-//!   memo make one session drivable from many threads — the contract the
-//!   `man-serve` runtime builds its micro-batching scheduler on.
+//!   (`infer_shared` / `infer_batch_shared`) make one session drivable
+//!   from many threads — the contract the `man-serve` runtime builds its
+//!   micro-batching scheduler on.
 //! * [`Parallelism`] — the deterministic parallel batch engine
 //!   (`man-par`): `session.with_parallelism(Parallelism::Auto)` shards
 //!   batch rows (and lone large inferences, by output neuron) across
@@ -89,7 +89,7 @@ pub mod session;
 
 pub use artifact::{CompiledModel, CostedModel};
 pub use error::{ManError, ServeError};
-pub use man::kernel::KernelKind;
+pub use man::kernel::{ExecPlan, KernelKind};
 pub use man_par::{AutoContext, AutoTuning, Kernel, Parallelism, ShardPlan, WorkerPool};
 pub use pipeline::{BaselineModel, Pipeline, TrainedModel, TrainingData};
 pub use session::{InferenceSession, Prediction, SessionStats};

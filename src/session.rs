@@ -5,10 +5,7 @@
 //! worker slot. A bank depends only on the input magnitude and the
 //! layer's alphabet set, so across a batch most multiplications find
 //! their bank already computed — the software analogue of the paper's
-//! CSHM sharing. A session opened with [`InferenceSession::warm`] goes
-//! one step further and memoizes whole `(weight, input)` products across
-//! requests, the steady-state configuration the `man-serve` scheduler
-//! workers run.
+//! CSHM sharing.
 //!
 //! # Parallel execution
 //!
@@ -31,9 +28,13 @@
 //! row sharding and neuron sharding — see
 //! [`InferenceSession::plan_for_batch`] for the resolved plan and
 //! [`InferenceSession::with_auto_tuning`] to override the table's
-//! thresholds. Explicit `Threads(n)` keeps the static behavior.
+//! thresholds. Explicit `Threads(n)` keeps the static behavior. Every
+//! batch resolves through the engine's one resolver
+//! ([`man::kernel::ExecRequest::resolve`]) into an
+//! [`ExecPlan`] (shard × kernel × layout) and runs through the engine's
+//! one batch entry point, [`man::fixed::FixedNet::infer_batch`].
 //!
-//! The mutable state (bank caches, product planes) lives behind internal
+//! The mutable state (the bank caches) lives behind internal
 //! locks, so the shared-reference entry points
 //! [`InferenceSession::infer_shared`] / [`infer_batch_shared`] work
 //! through `&self` — which is what lets one session be driven from many
@@ -45,8 +46,8 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use man::fixed::{argmax_raw, FixedNet, LayerTrace, SessionCache};
-use man::kernel::{KernelKind, LayoutKind};
-use man_par::{plan_shards, AutoContext, AutoTuning, Kernel, Layout, Parallelism, ShardPlan};
+use man::kernel::{ExecPlan, ExecRequest, KernelKind};
+use man_par::{AutoTuning, Kernel, Layout, Parallelism, ShardPlan};
 use serde::Serialize;
 
 use crate::artifact::CompiledModel;
@@ -85,31 +86,20 @@ pub struct InferenceSession {
     /// (`Parallelism::Auto` allocates one slot per core and the tuner
     /// resolves how many of them a given batch engages).
     caches: Vec<Mutex<SessionCache>>,
-    parallelism: Parallelism,
-    /// Compile-time MACs per inference — the tuner's work measure.
-    macs_per_row: u64,
-    /// Thresholds for the [`Parallelism::Auto`] decision table.
-    auto_tuning: AutoTuning,
-    /// The session-level MAC-kernel request. [`Kernel::Auto`] defers to
-    /// [`AutoTuning::kernel`], which itself defaults to the engine's
-    /// env-aware auto resolution.
-    kernel: Kernel,
-    /// The session-level layout request — the third tuner axis.
-    /// [`Layout::Auto`] defers to [`AutoTuning::layout`] and the
-    /// `MAN_LAYOUT` environment override; the resolved axis is decided
-    /// per batch (see [`InferenceSession::resolved_layout`]).
-    layout: Layout,
-    /// The `(sharding plan, layout)` the most recent batch resolved to —
-    /// what [`InferenceSession::stats`] reports so operators can see
-    /// what the tuner actually chose.
-    resolved_plan: Mutex<Option<(ShardPlan, LayoutKind)>>,
-    warm: bool,
+    /// The session's requests on every tuner axis (parallelism, kernel,
+    /// layout, Auto thresholds, MACs per row, tracing) — what
+    /// [`ExecRequest::resolve`] turns into each batch's plan.
+    request: ExecRequest,
+    /// The plan the most recent batch resolved to — what
+    /// [`InferenceSession::stats`] reports so operators can see what the
+    /// tuner actually chose.
+    resolved_plan: Mutex<Option<ExecPlan>>,
     trace_limit: Option<usize>,
 }
 
 /// A point-in-time observability snapshot of one session: the resolved
-/// execution configuration (plan × kernel) plus the cache memory story
-/// (per-layer bank arenas, the shared product plane, the engine's
+/// execution configuration (plan × kernel × layout) plus the cache
+/// memory story (per-layer bank arenas, transpose scratch, the engine's
 /// shared SoA kernel plans).
 #[derive(Clone, Debug, Serialize)]
 pub struct SessionStats {
@@ -134,17 +124,13 @@ pub struct SessionStats {
     pub layer_bank_bytes: Vec<u64>,
     /// Total bank-arena bytes across layers and slots.
     pub bank_bytes: u64,
-    /// Bytes of the warm product plane (counted once — slots share it
-    /// by clone), 0 on plain sessions.
-    pub plane_bytes: u64,
     /// Bytes of the engine's repacked SoA kernel plans (shared by every
     /// session over the same compiled model).
     pub kernel_plan_bytes: u64,
     /// Heap bytes of the batch-major transpose scratch, summed across
     /// worker slots (0 until a batch-major dispatch ran).
     pub transpose_bytes: u64,
-    /// `bank_bytes + plane_bytes + transpose_bytes` — the session-owned
-    /// cache total.
+    /// `bank_bytes + transpose_bytes` — the session-owned cache total.
     pub cache_bytes: u64,
 }
 
@@ -153,49 +139,21 @@ impl InferenceSession {
     /// shared, not copied — opening many sessions is cheap.
     pub fn new(model: &CompiledModel) -> Self {
         let fixed = model.fixed_shared();
-        let caches = Self::build_caches(&fixed, false, 1);
-        let macs_per_row = fixed.macs_per_inference();
+        let caches = Self::build_caches(&fixed, 1);
+        let request = ExecRequest::new(Parallelism::Sequential, fixed.macs_per_inference());
         Self {
             fixed,
             caches,
-            parallelism: Parallelism::Sequential,
-            macs_per_row,
-            auto_tuning: AutoTuning::default(),
-            kernel: Kernel::Auto,
-            layout: Layout::Auto,
+            request,
             resolved_plan: Mutex::new(None),
-            warm: false,
             trace_limit: None,
         }
     }
 
-    fn build_caches(fixed: &FixedNet, warm: bool, workers: usize) -> Vec<Mutex<SessionCache>> {
-        // One template, cloned per worker slot: each slot gets a private
-        // bank table, while a warm template's product plane (16 MiB at
-        // the 12-bit maximum) is *shared* by clone — every slot fills
-        // and profits from the same memo.
-        let template = if warm {
-            fixed.session_cache_warm()
-        } else {
-            fixed.session_cache()
-        };
+    fn build_caches(fixed: &FixedNet, workers: usize) -> Vec<Mutex<SessionCache>> {
         (0..workers.max(1))
-            .map(|_| Mutex::new(template.clone()))
+            .map(|_| Mutex::new(fixed.session_cache()))
             .collect()
-    }
-
-    /// Switches the session onto warm caches that memoize whole
-    /// `(weight, input)` products across inferences (see
-    /// [`man::fixed::FixedNet::session_cache_warm`]). Bit-identical to
-    /// the plain caches; the right choice for long-lived serving
-    /// sessions, and what the `man-serve` scheduler workers use. A
-    /// no-op beyond the plain bank cache for word lengths past
-    /// [`man::fixed::PRODUCT_PLANE_MAX_BITS`].
-    #[must_use]
-    pub fn warm(mut self) -> Self {
-        self.warm = true;
-        self.caches = Self::build_caches(&self.fixed, true, self.caches.len());
-        self
     }
 
     /// Sets the worker budget batches may be sharded across. The
@@ -210,8 +168,8 @@ impl InferenceSession {
     /// Every setting returns bit-identical predictions.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self.caches = Self::build_caches(&self.fixed, self.warm, parallelism.workers());
+        self.request.parallelism = parallelism;
+        self.caches = Self::build_caches(&self.fixed, parallelism.workers());
         self
     }
 
@@ -220,7 +178,7 @@ impl InferenceSession {
     /// [`AutoTuning::default`].
     #[must_use]
     pub fn with_auto_tuning(mut self, tuning: AutoTuning) -> Self {
-        self.auto_tuning = tuning;
+        self.request.tuning = tuning;
         self
     }
 
@@ -233,7 +191,7 @@ impl InferenceSession {
     /// [`InferenceSession::resolved_kernel`] for what actually runs.
     #[must_use]
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
+        self.request.kernel = kernel;
         self
     }
 
@@ -243,10 +201,10 @@ impl InferenceSession {
     /// default — defers to [`AutoTuning::layout`], the `MAN_LAYOUT`
     /// environment override, and the tuner's batch/MACs-per-row
     /// heuristic. Every layout returns bit-identical predictions; see
-    /// [`InferenceSession::resolved_layout`] for what actually runs.
+    /// [`InferenceSession::last_dispatch`] for what actually ran.
     #[must_use]
     pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
+        self.request.layout = layout;
         self
     }
 
@@ -255,28 +213,7 @@ impl InferenceSession {
     /// explicit, else the tuning's kernel axis, else the engine's
     /// env-aware auto resolution.
     pub fn resolved_kernel(&self) -> KernelKind {
-        match self.kernel {
-            Kernel::Auto => man::kernel::resolve(self.auto_tuning.kernel),
-            explicit => man::kernel::resolve(explicit),
-        }
-    }
-
-    /// The layout a batch of `batch` rows runs under on this session:
-    /// the session-level request when explicit, else the tuning's layout
-    /// axis, through the engine's env-aware resolution
-    /// ([`man::kernel::resolve_layout`]) — which degrades every batch of
-    /// fewer than 2 rows to row-major, so the label always names the
-    /// datapath that actually ran. Tracing forces row-major (the operand
-    /// stream is ordered per image).
-    pub fn resolved_layout(&self, batch: usize) -> LayoutKind {
-        if self.trace_limit.is_some() {
-            return LayoutKind::RowMajor;
-        }
-        let request = match self.layout {
-            Layout::Auto => self.auto_tuning.layout,
-            explicit => explicit,
-        };
-        man::kernel::resolve_layout(request, batch, self.macs_per_row, &self.auto_tuning)
+        self.request.kernel()
     }
 
     /// The resolved kernel's label (`"scalar"`, `"swar"`, `"avx2"`) for
@@ -285,38 +222,26 @@ impl InferenceSession {
         self.resolved_kernel().label()
     }
 
-    /// The `(sharding plan, layout)` the most recent batch resolved to,
-    /// or `None` before the first inference — the cheap (`Copy`) form of
-    /// what [`InferenceSession::stats`] renders as the `plan` label, for
-    /// callers on a hot path (the serve scheduler records it per
-    /// dispatch).
-    pub fn last_dispatch(&self) -> Option<(ShardPlan, LayoutKind)> {
+    /// The plan (shard × kernel × layout) the most recent batch resolved
+    /// to, or `None` before the first inference — the cheap (`Copy`)
+    /// form of what [`InferenceSession::stats`] renders as the `plan`
+    /// label, for callers on a hot path (the serve scheduler records it
+    /// per dispatch).
+    pub fn last_dispatch(&self) -> Option<ExecPlan> {
         *self
             .resolved_plan
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The sharding-plan half of [`InferenceSession::last_dispatch`].
-    pub fn last_plan(&self) -> Option<ShardPlan> {
-        self.last_dispatch().map(|(plan, _)| plan)
-    }
-
-    /// An observability snapshot: resolved plan × kernel plus the cache
-    /// memory footprint (per-layer bank arenas summed across worker
-    /// slots; the shared product plane counted once; the engine's
-    /// shared SoA plan bytes alongside).
+    /// An observability snapshot: resolved plan × kernel × layout plus
+    /// the cache memory footprint (per-layer bank arenas and transpose
+    /// scratch summed across worker slots; the engine's shared SoA plan
+    /// bytes alongside).
     pub fn stats(&self) -> SessionStats {
-        let kernel = self.resolved_kernel();
         let dispatch = self.last_dispatch();
-        let plan = dispatch
-            .map(|(p, l)| p.label_with_kernel_layout(kernel.label(), l.label()))
-            .unwrap_or_else(|| "unresolved".to_owned());
-        let layout = dispatch
-            .map(|(_, l)| l.label().to_owned())
-            .unwrap_or_else(|| "unresolved".to_owned());
+        let unresolved = || "unresolved".to_owned();
         let mut layer_bank_bytes: Vec<u64> = Vec::new();
-        let mut plane_bytes = 0u64;
         let mut transpose_bytes = 0u64;
         for slot in 0..self.caches.len() {
             let fp = self.lock_cache(slot).footprint();
@@ -326,31 +251,27 @@ impl InferenceSession {
             for (sum, bytes) in layer_bank_bytes.iter_mut().zip(&fp.layer_bank_bytes) {
                 *sum += *bytes as u64;
             }
-            // The plane is shared by clone across slots: count it once.
-            // Transpose scratch (like the banks) is per slot: sum it.
-            plane_bytes = plane_bytes.max(fp.plane_bytes as u64);
             transpose_bytes += fp.transpose_bytes as u64;
         }
         let bank_bytes: u64 = layer_bank_bytes.iter().sum();
         SessionStats {
-            parallelism: self.parallelism.label(),
+            parallelism: self.request.parallelism.label(),
             workers: self.caches.len() as u64,
-            kernel: kernel.label().to_owned(),
-            layout,
-            plan,
-            macs_per_row: self.macs_per_row,
+            kernel: self.kernel_label().to_owned(),
+            layout: dispatch.map_or_else(unresolved, |p| p.layout.label().to_owned()),
+            plan: dispatch.map_or_else(unresolved, ExecPlan::label),
+            macs_per_row: self.request.macs_per_row,
             layer_bank_bytes,
             bank_bytes,
-            plane_bytes,
             kernel_plan_bytes: self.fixed.kernel_plan_bytes() as u64,
             transpose_bytes,
-            cache_bytes: bank_bytes + plane_bytes + transpose_bytes,
+            cache_bytes: bank_bytes + transpose_bytes,
         }
     }
 
     /// The parallelism the session was configured with.
     pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
+        self.request.parallelism
     }
 
     /// The worker budget (one persistent cache slot per worker; under
@@ -363,7 +284,7 @@ impl InferenceSession {
     /// Compile-time MACs one inference of this model costs — the work
     /// measure the Auto tuner plans with.
     pub fn macs_per_row(&self) -> u64 {
-        self.macs_per_row
+        self.request.macs_per_row
     }
 
     /// How a batch of `batch` rows would shard on this session, assuming
@@ -374,51 +295,17 @@ impl InferenceSession {
     /// consults the `man-par` decision table with the model's
     /// compile-time MACs per row.
     pub fn plan_for_batch(&self, batch: usize) -> ShardPlan {
-        self.plan_with_load(batch, 1)
-    }
-
-    fn plan_with_load(&self, batch: usize, streams: usize) -> ShardPlan {
-        // Tracing forces the sequential path: the operand stream is
-        // ordered.
-        if self.trace_limit.is_some() || batch == 0 {
-            return ShardPlan::Sequential;
-        }
-        let slots = self.caches.len();
-        match self.parallelism {
-            Parallelism::Sequential => ShardPlan::Sequential,
-            Parallelism::Threads(_) => {
-                // Static behavior: the caller asked for exactly this
-                // many workers; rows when the batch has them, neurons
-                // for a lone row.
-                if slots <= 1 {
-                    ShardPlan::Sequential
-                } else if batch == 1 {
-                    ShardPlan::Neurons { workers: slots }
-                } else {
-                    ShardPlan::Rows {
-                        workers: slots.min(batch),
-                    }
-                }
-            }
-            Parallelism::Auto => plan_shards(
-                &AutoContext {
-                    macs_per_row: self.macs_per_row,
-                    batch,
-                    streams,
-                    cores: slots,
-                },
-                &self.auto_tuning,
-            ),
-        }
+        self.request.resolve(batch, 1).shard
     }
 
     /// Enables per-layer operand tracing on every prediction (up to
     /// `limit` MACs per layer). Tracing costs time and memory — and
-    /// forces the sequential path, since the operand stream is ordered —
-    /// so leave it off for throughput serving.
+    /// forces the sequential row-major path, since the operand stream is
+    /// ordered — so leave it off for throughput serving.
     #[must_use]
     pub fn with_trace(mut self, limit: usize) -> Self {
         self.trace_limit = Some(limit);
+        self.request.traced = true;
         self
     }
 
@@ -438,56 +325,6 @@ impl InferenceSession {
         Ok(())
     }
 
-    /// Remembers what the most recent batch resolved to (for
-    /// [`InferenceSession::stats`]), then returns the dispatch unchanged.
-    fn record_dispatch(&self, plan: ShardPlan, layout: LayoutKind) -> (ShardPlan, LayoutKind) {
-        *self
-            .resolved_plan
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some((plan, layout));
-        (plan, layout)
-    }
-
-    fn infer_locked(&self, input: &[f32], cache: &mut SessionCache) -> Prediction {
-        let (scores, traces) = match self.trace_limit {
-            Some(limit) => {
-                let (scores, traces) = self.fixed.infer_raw_traced(input, limit, cache);
-                (scores, Some(traces))
-            }
-            None => (
-                self.fixed
-                    .infer_raw_with_cache_kernel(input, cache, self.resolved_kernel()),
-                None,
-            ),
-        };
-        Prediction {
-            class: argmax_raw(&scores),
-            scores,
-            traces,
-        }
-    }
-
-    /// One untraced inference with large layers neuron-sharded across
-    /// `workers` pool threads.
-    fn infer_locked_sharded(
-        &self,
-        input: &[f32],
-        cache: &mut SessionCache,
-        workers: usize,
-    ) -> Prediction {
-        let scores = self.fixed.infer_raw_with_cache_par_kernel(
-            input,
-            cache,
-            Parallelism::Threads(workers),
-            self.resolved_kernel(),
-        );
-        Prediction {
-            class: argmax_raw(&scores),
-            scores,
-            traces: None,
-        }
-    }
-
     /// Runs one inference through a shared reference — the entry point
     /// scheduler workers drive via `Arc<InferenceSession>`. On a
     /// parallel session, large layers are sharded across the workers
@@ -499,24 +336,15 @@ impl InferenceSession {
     /// Returns [`ManError::Shape`] if `input` does not hold exactly
     /// `self.fixed().input_len()` values.
     pub fn infer_shared(&self, input: &[f32]) -> Result<Prediction, ManError> {
-        self.check_shape(input)?;
-        let mut cache = self.lock_cache(0);
-        // A lone row always resolves row-major (the batch-major path
-        // needs ≥ 2 lanes to pay for the transpose).
-        let (plan, _) = self.record_dispatch(self.plan_with_load(1, 1), self.resolved_layout(1));
-        match plan {
-            ShardPlan::Neurons { workers } | ShardPlan::Rows { workers } => {
-                Ok(self.infer_locked_sharded(input, &mut cache, workers))
-            }
-            ShardPlan::Sequential => Ok(self.infer_locked(input, &mut cache)),
-        }
+        let mut one = self.run(std::slice::from_ref(&input), 1)?;
+        Ok(one.pop().expect("one input yields one prediction"))
     }
 
     /// The caches stay internally consistent even if a thread panicked
-    /// mid-inference (bank and plane slots are written atomically, and a
-    /// half-run inference leaves no partial state behind), so a poisoned
-    /// lock is recovered rather than propagated — one panicking request
-    /// must not brick a long-lived serving session.
+    /// mid-inference (bank rows are written whole, and a half-run
+    /// inference leaves no partial state behind), so a poisoned lock is
+    /// recovered rather than propagated — one panicking request must
+    /// not brick a long-lived serving session.
     fn lock_cache(&self, slot: usize) -> MutexGuard<'_, SessionCache> {
         self.caches[slot]
             .lock()
@@ -524,24 +352,22 @@ impl InferenceSession {
     }
 
     /// Runs a batch of inferences through a shared reference, sharing
-    /// pre-computer banks (and, on a [`InferenceSession::warm`] session,
-    /// memoized products) across the whole batch. Equivalent to — and
+    /// pre-computer banks across the whole batch. Equivalent to — and
     /// bit-identical with — calling [`InferenceSession::infer_shared`]
     /// once per input, for every [`Parallelism`] setting.
     ///
     /// On a parallel session the rows are sharded across the worker
-    /// slots (each with its own persistent cache); a batch smaller than
-    /// the worker count falls back to neuron-sharding each row instead,
-    /// so big lone requests still use every core. Under
-    /// [`Parallelism::Auto`], the `man-par` decision table resolves the
-    /// mode and worker count per batch.
+    /// slots (each with its own persistent cache); a lone row is
+    /// neuron-sharded instead, so big lone requests still use every
+    /// core. Under [`Parallelism::Auto`], the `man-par` decision table
+    /// resolves the mode and worker count per batch.
     ///
     /// # Errors
     ///
     /// Returns [`ManError::Shape`] on the first wrong-length input; the
     /// whole batch is validated before any inference runs.
     pub fn infer_batch_shared(&self, inputs: &[Vec<f32>]) -> Result<Vec<Prediction>, ManError> {
-        self.infer_batch_with_load(inputs, 1)
+        self.run(inputs, 1)
     }
 
     /// [`InferenceSession::infer_batch_shared`] with a load hint:
@@ -559,95 +385,61 @@ impl InferenceSession {
         inputs: &[Vec<f32>],
         streams: usize,
     ) -> Result<Vec<Prediction>, ManError> {
+        self.run(inputs, streams)
+    }
+
+    /// Validates, resolves and runs one batch: the session's single
+    /// dispatch path.
+    fn run<I: AsRef<[f32]> + Sync>(
+        &self,
+        inputs: &[I],
+        streams: usize,
+    ) -> Result<Vec<Prediction>, ManError> {
         for input in inputs {
-            self.check_shape(input)?;
+            self.check_shape(input.as_ref())?;
         }
         // The kernel-execute stage of the obs taxonomy (DESIGN.md §12):
         // one span per batch, labeled with the resolved MAC kernel,
-        // arg = batch size. A no-op branch when the plane is off.
+        // arg = batch size. A no-op branch when observability is off.
         let _kernel_span = man_obs::Span::labeled(
             man_obs::Stage::Kernel,
             0,
             self.kernel_label(),
             inputs.len() as u64,
         );
-        let mut plan = self.plan_with_load(inputs.len(), streams);
-        let layout = self.resolved_layout(inputs.len());
-        if layout.is_batch_major() {
-            // Batch-major consumes whole rows per lane, so a Neurons
-            // plan (rows too few/expensive to row-shard each) remaps to
-            // row sharding over the same worker budget — each worker
-            // then runs the widest lane block its rows allow.
-            if let ShardPlan::Neurons { workers } = plan {
-                plan = ShardPlan::Rows {
-                    workers: workers.min(inputs.len()),
-                };
-            }
-        }
-        match self.record_dispatch(plan, layout) {
-            (ShardPlan::Sequential, LayoutKind::BatchMajor) => {
-                let mut cache = self.lock_cache(0);
-                Ok(self
-                    .fixed
-                    .infer_batch_raw_batch_major_kernel(inputs, &mut cache, self.resolved_kernel())
-                    .into_iter()
-                    .map(|scores| Prediction {
-                        class: argmax_raw(&scores),
-                        scores,
-                        traces: None,
-                    })
-                    .collect())
-            }
-            (ShardPlan::Sequential, LayoutKind::RowMajor) => {
-                let mut cache = self.lock_cache(0);
-                Ok(inputs
-                    .iter()
-                    .map(|x| self.infer_locked(x, &mut cache))
-                    .collect())
-            }
-            (ShardPlan::Neurons { workers }, _) => {
-                // Rows too few (or too expensive each) to row-shard:
-                // shard each row's large layers across the workers
-                // instead (a no-op on warm sessions, whose product
-                // plane beats sharding — see
-                // `FixedNet::infer_raw_with_cache_par`). Only reachable
-                // row-major: batch-major remapped this plan above.
-                let mut cache = self.lock_cache(0);
-                Ok(inputs
-                    .iter()
-                    .map(|x| self.infer_locked_sharded(x, &mut cache, workers))
-                    .collect())
-            }
-            (ShardPlan::Rows { workers }, layout) => {
-                // Row sharding over as many worker slots as the plan
-                // engaged; each slot's cache memoizes (banks and, when
-                // warm, plane entries) on the ordinary mutable path.
-                let mut guards: Vec<MutexGuard<'_, SessionCache>> =
-                    (0..workers).map(|slot| self.lock_cache(slot)).collect();
+        let plan = self.request.resolve(inputs.len(), streams);
+        *self
+            .resolved_plan
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(plan);
+        let mut guards: Vec<MutexGuard<'_, SessionCache>> = (0..plan.cache_slots())
+            .map(|slot| self.lock_cache(slot))
+            .collect();
+        let predict = |scores: Vec<i64>, traces| Prediction {
+            class: argmax_raw(&scores),
+            scores,
+            traces,
+        };
+        Ok(match self.trace_limit {
+            Some(limit) => inputs
+                .iter()
+                .map(|x| {
+                    let (scores, traces) =
+                        self.fixed
+                            .infer_raw_traced(x.as_ref(), limit, &mut guards[0]);
+                    predict(scores, Some(traces))
+                })
+                .collect(),
+            None => {
                 let mut caches: Vec<&mut SessionCache> =
                     guards.iter_mut().map(|g| &mut **g).collect();
-                let raw = match layout {
-                    LayoutKind::BatchMajor => self.fixed.infer_batch_raw_batch_major_par_kernel(
-                        inputs,
-                        &mut caches,
-                        self.resolved_kernel(),
-                    ),
-                    LayoutKind::RowMajor => self.fixed.infer_batch_raw_par_kernel(
-                        inputs,
-                        &mut caches,
-                        self.resolved_kernel(),
-                    ),
-                };
-                Ok(raw
+                self.fixed
+                    .infer_batch(inputs, &mut caches, plan)
                     .into_iter()
-                    .map(|scores| Prediction {
-                        class: argmax_raw(&scores),
-                        scores,
-                        traces: None,
-                    })
-                    .collect())
+                    .map(|scores| predict(scores, None))
+                    .collect()
             }
-        }
+        })
     }
 
     /// Runs one inference ([`InferenceSession::infer_shared`] behind the

@@ -2,7 +2,7 @@
 //! contract: for ANY model, batch and thread count, parallel inference
 //! is bit-identical to sequential inference — plus the pool's panic
 //! containment, and the persistent pool's reuse story: every parallel
-//! call in the process (facade batches, warm sessions, training
+//! call in the process (facade batches, long-lived sessions, training
 //! evaluations) drains the SAME long-lived worker pool, interleaved and
 //! across session resizes, without changing a bit.
 
@@ -70,8 +70,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Parallel `infer_batch` == sequential `infer_batch`, across random
-    /// models, batch sizes 0..64 and `Threads(1..8)`, for both plain and
-    /// warm sessions.
+    /// models, batch sizes 0..64 and `Threads(1..8)`.
     #[test]
     fn parallel_infer_batch_is_bit_identical(
         seed in any::<u64>(),
@@ -82,22 +81,17 @@ proptest! {
         classes in 2usize..6,
         rows in 0usize..64,
         threads in 1usize..8,
-        warm in any::<bool>(),
     ) {
         let model = random_model(seed, bits, in_dim, hidden, classes, set);
         let batch = random_batch(seed, rows, in_dim);
         let sequential = scores_of(
             model.session().infer_batch_shared(&batch).expect("shapes match"),
         );
-        let session = if warm {
-            model.session().warm().with_parallelism(Parallelism::Threads(threads))
-        } else {
-            model.session_parallel(Parallelism::Threads(threads))
-        };
+        let session = model.session_parallel(Parallelism::Threads(threads));
         let parallel = scores_of(session.infer_batch_shared(&batch).expect("shapes match"));
         prop_assert_eq!(&parallel, &sequential);
-        // A second pass over the same session (caches now warm from the
-        // first) must still be identical — warmth never changes bits.
+        // A second pass over the same session (banks now filled by the
+        // first) must still be identical — cached banks never change bits.
         let again = scores_of(session.infer_batch_shared(&batch).expect("shapes match"));
         prop_assert_eq!(&again, &sequential);
     }
@@ -121,8 +115,8 @@ proptest! {
         prop_assert_eq!(parallel.class, sequential.class);
     }
 
-    /// One persistent pool, many tenants: interleaving plain parallel
-    /// batches, a warm session's batches, training-style accuracy
+    /// One persistent pool, many tenants: interleaving two long-lived
+    /// parallel sessions' batches, training-style accuracy
     /// evaluations and session resizes over the SAME process-wide pool
     /// (the `man-par` global pool every parallel call drains) never
     /// changes a bit relative to the sequential reference — the pool
@@ -150,7 +144,7 @@ proptest! {
 
         // Long-lived tenants sharing the pool across the op sequence.
         let mut plain = model.session_parallel(Parallelism::Threads(4));
-        let warm = model.session().warm().with_parallelism(Parallelism::Threads(3));
+        let steady = model.session_parallel(Parallelism::Threads(3));
         for op in ops {
             match op % 4 {
                 0 => {
@@ -161,9 +155,9 @@ proptest! {
                 }
                 1 => {
                     let got = scores_of(
-                        warm.infer_batch_shared(&batch).expect("shapes match"),
+                        steady.infer_batch_shared(&batch).expect("shapes match"),
                     );
-                    prop_assert_eq!(&got, &seq_scores, "warm tenant diverged");
+                    prop_assert_eq!(&got, &seq_scores, "steady tenant diverged");
                 }
                 2 => {
                     // Training-eval tenant: row-sharded accuracy over
@@ -188,10 +182,9 @@ proptest! {
     /// The §10 kernel matrix: the vectorized MAC kernels (portable
     /// SWAR and, where detected, AVX2 via `Vector`) are bit-identical
     /// to the scalar reference across random models × word lengths ×
-    /// alphabets × batch 0..64 × warm/plain caches × `Threads(1..8)` —
-    /// equivalence is asserted on the scores of every row, twice per
-    /// session (the second pass runs over prefilled arenas and, when
-    /// warm, a part-filled product plane).
+    /// alphabets × batch 0..64 × `Threads(1..8)` — equivalence is
+    /// asserted on the scores of every row, twice per session (the
+    /// second pass runs over prefilled arenas).
     #[test]
     fn scalar_and_vector_kernels_are_bit_identical(
         seed in any::<u64>(),
@@ -202,7 +195,6 @@ proptest! {
         classes in 2usize..6,
         rows in 0usize..64,
         threads in 1usize..8,
-        warm in any::<bool>(),
     ) {
         let model = random_model(seed, bits, in_dim, hidden, classes, set);
         let batch = random_batch(seed, rows, in_dim);
@@ -212,8 +204,8 @@ proptest! {
             scalar_session.infer_batch_shared(&batch).expect("shapes match"),
         );
         for kernel in [Kernel::Swar, Kernel::Vector] {
-            let session = if warm { model.session().warm() } else { model.session() }
-                .with_parallelism(Parallelism::Threads(threads))
+            let session = model
+                .session_parallel(Parallelism::Threads(threads))
                 .with_kernel(kernel);
             prop_assert!(session.kernel_label() != "scalar");
             let vectored = scores_of(
@@ -223,7 +215,7 @@ proptest! {
             let again = scores_of(
                 session.infer_batch_shared(&batch).expect("shapes match"),
             );
-            prop_assert_eq!(&again, &scalar, "kernel={} warm pass", kernel.label());
+            prop_assert_eq!(&again, &scalar, "kernel={} second pass", kernel.label());
         }
     }
 
@@ -231,8 +223,8 @@ proptest! {
     /// transposed bank walk vectorizing across batch rows) is
     /// bit-identical to the row-major reference across random models ×
     /// word lengths × alphabets × batch 0..64 (straddling the
-    /// `LANE_BLOCK` width and its remainders) × warm/plain caches ×
-    /// `Threads(1..8)` — asserted twice per session, so the second pass
+    /// `LANE_BLOCK` width and its remainders) × `Threads(1..8)` —
+    /// asserted twice per session, so the second pass
     /// also covers prefilled arenas and reused transpose scratch.
     #[test]
     fn batch_major_layout_is_bit_identical(
@@ -244,7 +236,6 @@ proptest! {
         classes in 2usize..6,
         rows in 0usize..64,
         threads in 1usize..8,
-        warm in any::<bool>(),
     ) {
         let model = random_model(seed, bits, in_dim, hidden, classes, set);
         let batch = random_batch(seed, rows, in_dim);
@@ -254,8 +245,8 @@ proptest! {
                 .infer_batch_shared(&batch)
                 .expect("shapes match"),
         );
-        let session = if warm { model.session().warm() } else { model.session() }
-            .with_parallelism(Parallelism::Threads(threads))
+        let session = model
+            .session_parallel(Parallelism::Threads(threads))
             .with_layout(Layout::BatchMajor);
         let batch_major = scores_of(
             session.infer_batch_shared(&batch).expect("shapes match"),
@@ -269,25 +260,20 @@ proptest! {
 
     /// `Parallelism::Auto` — whatever plan the tuner resolves (rows,
     /// neurons or sequential) — is bit-identical to the sequential
-    /// path, warm or plain.
+    /// path.
     #[test]
     fn auto_tuned_sessions_are_bit_identical(
         seed in any::<u64>(),
         set in any_alphabet(),
         hidden in 8usize..64,
         rows in 0usize..32,
-        warm in any::<bool>(),
     ) {
         let model = random_model(seed, 8, 14, hidden, 3, set);
         let batch = random_batch(seed, rows, 14);
         let sequential = scores_of(
             model.session().infer_batch_shared(&batch).expect("shapes match"),
         );
-        let session = if warm {
-            model.session().warm().with_parallelism(Parallelism::Auto)
-        } else {
-            model.session_parallel(Parallelism::Auto)
-        };
+        let session = model.session_parallel(Parallelism::Auto);
         let auto = scores_of(session.infer_batch_shared(&batch).expect("shapes match"));
         prop_assert_eq!(&auto, &sequential);
         // Load hints only influence the plan, never the bits.
@@ -307,7 +293,7 @@ proptest! {
 /// error). With the persistent pool this is a sharper claim than
 /// before: the SAME pool threads that contained the panic keep serving
 /// every later job, so the test drives several post-panic tenants
-/// (plain parallel, warm, training eval) — and panics again — through
+/// (two parallel sessions, training eval) — and panics again — through
 /// the reused pool.
 #[test]
 fn panic_in_worker_is_contained_and_pool_survives_reuse() {
@@ -349,15 +335,13 @@ fn panic_in_worker_is_contained_and_pool_survives_reuse() {
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"poisoned row"));
 
     // ...and the other tenants keep getting exact answers.
-    let warm = scores_of(
+    let other = scores_of(
         model
-            .session()
-            .warm()
-            .with_parallelism(Parallelism::Threads(3))
+            .session_parallel(Parallelism::Threads(3))
             .infer_batch_shared(&batch)
             .expect("shapes match"),
     );
-    assert_eq!(warm, sequential);
+    assert_eq!(other, sequential);
     let seq_acc = model.fixed().accuracy(&batch, &labels);
     for p in [Parallelism::Threads(4), Parallelism::Auto] {
         assert_eq!(model.fixed().accuracy_par(&batch, &labels, p), seq_acc);
@@ -414,8 +398,12 @@ fn batch_major_request_degrades_to_row_major_below_two_rows() {
     );
     let got = scores_of(session.infer_batch_shared(&single).expect("shapes match"));
     assert_eq!(got, reference);
-    let (_, layout) = session.last_dispatch().expect("a batch resolved");
-    assert_eq!(layout.label(), "row", "batch=1 must degrade to row-major");
+    let plan = session.last_dispatch().expect("a batch resolved");
+    assert_eq!(
+        plan.layout.label(),
+        "row",
+        "batch=1 must degrade to row-major"
+    );
     assert_eq!(session.stats().layout, "row");
     let pair = random_batch(24, 2, 12);
     session.infer_batch_shared(&pair).expect("shapes match");
@@ -427,25 +415,16 @@ fn batch_major_request_degrades_to_row_major_below_two_rows() {
 }
 
 /// Session `stats` surface the resolved plan × kernel × layout and the
-/// cache memory story (per-layer bank bytes, plane bytes counted once
-/// across worker slots, transpose scratch) — the observability
-/// satellite.
+/// cache memory story (per-layer bank bytes summed across worker
+/// slots, transpose scratch) — the observability satellite.
 #[test]
 fn session_stats_report_plan_kernel_and_memory() {
     let model = random_model(22, 8, 12, 32, 3, AlphabetSet::a2());
     let batch = random_batch(22, 16, 12);
-    let session = model
-        .session()
-        .warm()
-        .with_parallelism(Parallelism::Threads(2));
+    let session = model.session_parallel(Parallelism::Threads(2));
     let fresh = session.stats();
     assert_eq!(fresh.plan, "unresolved", "no batch has resolved yet");
     assert_eq!(fresh.workers, 2);
-    assert_eq!(
-        fresh.plane_bytes,
-        128 * 128 * 4,
-        "8-bit plane, counted once"
-    );
     session.infer_batch_shared(&batch).expect("shapes match");
     let stats = session.stats();
     assert!(
@@ -462,10 +441,7 @@ fn session_stats_report_plan_kernel_and_memory() {
     );
     assert_eq!(stats.layer_bank_bytes.len(), 2, "one entry per layer");
     assert!(stats.bank_bytes > 0, "inference filled bank rows");
-    assert_eq!(
-        stats.cache_bytes,
-        stats.bank_bytes + stats.plane_bytes + stats.transpose_bytes
-    );
+    assert_eq!(stats.cache_bytes, stats.bank_bytes + stats.transpose_bytes);
     if stats.layout == "batch" {
         assert!(
             stats.transpose_bytes > 0,
