@@ -290,9 +290,10 @@ pub struct FixedNet {
 }
 
 /// Lanes per batch-major block (DESIGN.md §10): the batch advances
-/// layer-by-layer in blocks of this many images. 16 lanes feed four
-/// 4-lane SWAR/AVX2 groups per term byte while keeping the transposed
-/// bank block of a wide layer comfortably inside L2.
+/// layer-by-layer in blocks of this many images. 16 lanes are two
+/// 8 × `i32` AVX2 vectors, so one term decode per fan-in position covers
+/// the whole block, while the transposed bank block of a wide layer
+/// stays comfortably inside L2.
 pub const LANE_BLOCK: usize = 16;
 
 /// Reusable per-layer pre-computer bank caches.
@@ -314,13 +315,14 @@ pub struct SessionCache {
     layer_alphabets: Vec<Vec<u8>>,
     layers: Vec<BankArena>,
     /// Reusable batch-major transpose scratch (DESIGN.md §10): the
-    /// lane-transposed bank block and activation sign masks rebuilt per
-    /// layer per lane block. Empty until the first batch-major dispatch;
-    /// capacity then sticks at the widest layer's block so steady-state
-    /// serving never reallocates. Per-clone (each worker slot transposes
-    /// its own lanes), counted by [`CacheFootprint::transpose_bytes`].
-    bank_t: Vec<u64>,
-    sign_t: Vec<i64>,
+    /// lane-transposed `u32` bank block and `i32` activation sign masks
+    /// rebuilt per layer per lane block, lanes padded to a multiple of
+    /// 8. Empty until the first batch-major dispatch; capacity then
+    /// sticks at the widest layer's block so steady-state serving never
+    /// reallocates. Per-clone (each worker slot transposes its own
+    /// lanes), counted by [`CacheFootprint::transpose_bytes`].
+    bank_t: Vec<u32>,
+    sign_t: Vec<i32>,
 }
 
 /// A [`SessionCache`]'s memory footprint — what the facade session and
@@ -330,8 +332,9 @@ pub struct CacheFootprint {
     /// Heap bytes of each layer's bank arena (rows + magnitude index).
     pub layer_bank_bytes: Vec<usize>,
     /// Heap bytes of the batch-major transpose scratch (lane-transposed
-    /// bank block + sign masks; 0 until the first batch-major dispatch).
-    /// Per worker slot, like the bank arenas.
+    /// 32-bit bank block + 32-bit sign masks, lanes padded to a multiple
+    /// of 8; 0 until the first batch-major dispatch). Per worker slot,
+    /// like the bank arenas.
     pub transpose_bytes: usize,
 }
 
@@ -365,6 +368,21 @@ impl SessionCache {
         self.layers[layer].prefill(&mac.asm, xs.iter().map(|x| x.mag));
     }
 
+    /// Builds the batch-major scratch (`bank_t`/`sign_t`) for one layer
+    /// of a lane block from its lane-transposed input activations — the
+    /// set-up every batch-major dense and conv layer runs before its
+    /// kernel calls (see `kernel::transpose_bank_block`).
+    fn transpose_block(&mut self, mac: &MacParams, acts: &[SignedAct], width: usize) {
+        kernel::transpose_bank_block(
+            mac.asm.alphabet().members(),
+            width,
+            acts,
+            |x| (x.mag, x.neg),
+            &mut self.bank_t,
+            &mut self.sign_t,
+        );
+    }
+
     /// Read-only twin of [`SessionCache::product`] over a prefilled
     /// bank. Banks are pure functions of `(alphabet, x_mag)`, so this
     /// returns bit-identical products to the mutable path.
@@ -387,8 +405,8 @@ impl SessionCache {
     pub fn footprint(&self) -> CacheFootprint {
         CacheFootprint {
             layer_bank_bytes: self.layers.iter().map(BankArena::bytes).collect(),
-            transpose_bytes: self.bank_t.capacity() * std::mem::size_of::<u64>()
-                + self.sign_t.capacity() * std::mem::size_of::<i64>(),
+            transpose_bytes: self.bank_t.capacity() * std::mem::size_of::<u32>()
+                + self.sign_t.capacity() * std::mem::size_of::<i32>(),
         }
     }
 
@@ -661,13 +679,56 @@ impl FixedNet {
             .collect()
     }
 
-    fn quantize_input(&self, image: &[f32]) -> Vec<u32> {
+    /// One input pixel as an input-layer activation: scaled to the
+    /// activation fraction, rounded half-to-even and clamped to the
+    /// unsigned word (see [`quantize_pixel`]).
+    #[inline]
+    fn quantize(&self, p: f32) -> SignedAct {
         let scale = (1u64 << self.act_frac) as f64;
-        let max = (1u64 << self.act_frac) - 1;
-        image
-            .iter()
-            .map(|&p| (((p as f64) * scale).round_ties_even() as i64).clamp(0, max as i64) as u32)
-            .collect()
+        let max = ((1u64 << self.act_frac) - 1) as f64;
+        SignedAct {
+            mag: quantize_pixel(p, scale, max),
+            neg: false,
+        }
+    }
+
+    /// A MAC layer's output stage over its accumulators: the next
+    /// layer's activations, or `None` at the logits head. Elementwise,
+    /// so it serves one image's accumulators and a lane block's
+    /// lane-transposed ones alike.
+    fn next_activations(&self, mac: &MacParams, accs: &[i64]) -> Option<Vec<SignedAct>> {
+        match mac.output {
+            OutputStage::Sigmoid => {
+                let acc_frac = self.act_frac + mac.w_format.frac();
+                let plan = self.plan_params();
+                Some(
+                    accs.iter()
+                        .map(|&a| SignedAct {
+                            mag: activation_unit_fixed(a, 64, acc_frac, &plan) as u32,
+                            neg: false,
+                        })
+                        .collect(),
+                )
+            }
+            OutputStage::Requant => {
+                // Saturating arithmetic shift back to the activation
+                // fraction: the hardware word between conv and pool.
+                let shift = mac.w_format.frac();
+                let max_mag = (1i64 << (self.bits - 1)) - 1;
+                Some(
+                    accs.iter()
+                        .map(|&a| {
+                            let v = (a >> shift).clamp(-max_mag, max_mag);
+                            SignedAct {
+                                mag: v.unsigned_abs() as u32,
+                                neg: v < 0,
+                            }
+                        })
+                        .collect(),
+                )
+            }
+            OutputStage::Logits => None,
+        }
     }
 
     fn plan_params(&self) -> PlanParams {
@@ -819,16 +880,10 @@ impl FixedNet {
             image.len(),
             self.input_len()
         );
-        let plan = self.plan_params();
-        let mut x: Vec<SignedAct> = self
-            .quantize_input(image)
-            .into_iter()
-            .map(|mag| SignedAct { mag, neg: false })
-            .collect();
+        let mut x: Vec<SignedAct> = image.iter().map(|&p| self.quantize(p)).collect();
         let mut logits = Vec::new();
         for (li, layer) in self.layers.iter().enumerate() {
             let mac = layer.mac();
-            let acc_frac = self.act_frac + mac.w_format.frac();
             let mut layer_trace = traces
                 .as_deref_mut()
                 .map(|ts| &mut ts[li])
@@ -971,32 +1026,12 @@ impl FixedNet {
                     let (oh, ow) = (in_h / 2, in_w / 2);
                     let xs: &[SignedAct] = &x;
                     let (in_h, in_w) = (*in_h, *in_w);
-                    let max_mag = (1i64 << (self.bits - 1)) - 1;
+                    let bits = self.bits;
                     self.run_mac_layer(
                         li,
                         mac,
                         |o| mac.bias[o / (oh * ow)],
-                        move |o| {
-                            let ch = o / (oh * ow);
-                            let oy = (o % (oh * ow)) / ow;
-                            let ox = o % ow;
-                            let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
-                            // Signed average of the 2×2 window (truncating
-                            // arithmetic shift, as the hardware adder tree
-                            // plus wiring would produce).
-                            let signed =
-                                |a: SignedAct| man_fixed::bits::apply_sign(a.mag as u64, a.neg);
-                            let sum = (signed(xs[base])
-                                + signed(xs[base + 1])
-                                + signed(xs[base + in_w])
-                                + signed(xs[base + in_w + 1]))
-                                >> 2;
-                            let avg = SignedAct {
-                                mag: sum.unsigned_abs().min(max_mag as u64) as u32,
-                                neg: sum < 0,
-                            };
-                            std::iter::once((ch, avg))
-                        },
+                        move |o| std::iter::once(pool_operand(o, in_h, in_w, bits, |i| xs[i])),
                         channels * oh * ow,
                         cache,
                         &mut layer_trace,
@@ -1007,33 +1042,9 @@ impl FixedNet {
                     )
                 }
             };
-            match mac.output {
-                OutputStage::Sigmoid => {
-                    x = accs
-                        .iter()
-                        .map(|&a| SignedAct {
-                            mag: activation_unit_fixed(a, 64, acc_frac, &plan) as u32,
-                            neg: false,
-                        })
-                        .collect();
-                }
-                OutputStage::Requant => {
-                    // Saturating arithmetic shift back to the activation
-                    // fraction: the hardware word between conv and pool.
-                    let shift = mac.w_format.frac();
-                    let max_mag = (1i64 << (self.bits - 1)) - 1;
-                    x = accs
-                        .iter()
-                        .map(|&a| {
-                            let v = (a >> shift).clamp(-max_mag, max_mag);
-                            SignedAct {
-                                mag: v.unsigned_abs() as u32,
-                                neg: v < 0,
-                            }
-                        })
-                        .collect();
-                }
-                OutputStage::Logits => logits = accs,
+            match self.next_activations(mac, &accs) {
+                Some(next) => x = next,
+                None => logits = accs,
             }
         }
         logits
@@ -1181,13 +1192,15 @@ impl FixedNet {
     }
 
     /// One lane block's forward pass — the batch-major engine loop. All
-    /// lanes advance through each layer together: dense and conv layers
-    /// prefill every lane's banks, transpose them into the cache's
-    /// reusable scratch ([`crate::kernel`]'s `transpose_bank_block`),
-    /// and run the batch-major kernel per output neuron; pool layers
-    /// and the output stages loop the lanes through the scalar path.
-    /// Accumulators are laid out `accs[o * width + b]` (output-major)
-    /// so each kernel call writes one contiguous lane group.
+    /// lanes advance through each layer together, their activations
+    /// lane-transposed (input `i` of lane `b` at `x[i * width + b]`).
+    /// Dense and conv layers build the block's bank and sign scratch
+    /// from them ([`crate::kernel`]'s `transpose_bank_block`) and run the
+    /// batch-major kernel per output neuron; pool layers loop the lanes
+    /// through the scalar path. Accumulators come out in the same
+    /// layout (`accs[o * width + b]`), so each kernel call writes one
+    /// contiguous lane group and the output stage maps them elementwise
+    /// into the next layer's activations.
     fn forward_lane_block<I: AsRef<[f32]>>(
         &self,
         images: &[I],
@@ -1198,84 +1211,47 @@ impl FixedNet {
         if width == 0 {
             return Vec::new();
         }
-        let plan = self.plan_params();
         let bk = kernel::batch_kernel_for(kind);
-        let mut xs: Vec<Vec<SignedAct>> = images
-            .iter()
-            .map(|image| {
-                let image = image.as_ref();
-                assert_eq!(
-                    image.len(),
-                    self.input_len(),
-                    "input has {} values but the network expects {}",
-                    image.len(),
-                    self.input_len()
-                );
-                self.quantize_input(image)
-                    .into_iter()
-                    .map(|mag| SignedAct { mag, neg: false })
-                    .collect()
-            })
-            .collect();
-        let mut logits: Vec<Vec<i64>> = vec![Vec::new(); width];
+        let zero = SignedAct { mag: 0, neg: false };
+        let mut x = vec![zero; self.input_len() * width];
+        for (b, image) in images.iter().enumerate() {
+            let image = image.as_ref();
+            assert_eq!(
+                image.len(),
+                self.input_len(),
+                "input has {} values but the network expects {}",
+                image.len(),
+                self.input_len()
+            );
+            for (slot, &p) in x[b..].iter_mut().step_by(width).zip(image) {
+                *slot = self.quantize(p);
+            }
+        }
+        let mut logits = Vec::new();
         for (li, layer) in self.layers.iter().enumerate() {
             let mac = layer.mac();
-            let acc_frac = self.act_frac + mac.w_format.frac();
             let stride = mac.asm.alphabet().len() + 1;
             let accs: Vec<i64> = match layer {
                 FixedLayer::Dense {
                     in_dim, out_dim, ..
                 } => {
                     let (in_dim, out_dim) = (*in_dim, *out_dim);
-                    for lane in &xs {
-                        cache.prefill_layer(li, mac, lane);
-                    }
-                    let SessionCache {
-                        layers,
-                        bank_t,
-                        sign_t,
-                        ..
-                    } = &mut *cache;
-                    let arena = &layers[li];
-                    let lane_rows: Vec<Vec<u32>> = xs
-                        .iter()
-                        .map(|lane| {
-                            lane.iter()
-                                .map(|x| arena.row(x.mag).expect("prefilled above"))
-                                .collect()
-                        })
-                        .collect();
-                    let lane_negs: Vec<Vec<bool>> = xs
-                        .iter()
-                        .map(|lane| lane.iter().map(|x| x.neg).collect())
-                        .collect();
-                    let row_refs: Vec<&[u32]> = lane_rows.iter().map(Vec::as_slice).collect();
-                    let neg_refs: Vec<&[bool]> = lane_negs.iter().map(Vec::as_slice).collect();
-                    kernel::transpose_bank_block(
-                        arena.slab(),
-                        stride,
-                        &row_refs,
-                        &neg_refs,
-                        bank_t,
-                        sign_t,
-                    );
+                    cache.transpose_block(mac, &x, width);
                     // Dense fan-in is the identity gather; every output
                     // shares it, with weights at the contiguous run
                     // starting at `o * in_dim`.
                     let fan: Vec<u32> = (0..in_dim as u32).collect();
                     let mut accs = vec![0i64; out_dim * width];
-                    for o in 0..out_dim {
-                        let lane_accs = &mut accs[o * width..(o + 1) * width];
+                    for (o, lane_accs) in accs.chunks_exact_mut(width).enumerate() {
                         lane_accs.fill(mac.bias[o]);
                         bk.accumulate(kernel::MacBatchRun {
                             soa: &mac.soa,
-                            bank_t,
+                            bank_t: &cache.bank_t,
                             stride,
-                            width,
                             w_neg: &mac.w_neg,
                             w0: o * in_dim,
                             fan: &fan,
-                            sign_t,
+                            sign_t: &cache.sign_t,
                             accs: lane_accs,
                         });
                     }
@@ -1291,60 +1267,26 @@ impl FixedNet {
                     ..
                 } => {
                     let (in_h, in_w, in_ch, k, out_ch) = (*in_h, *in_w, *in_ch, *k, *out_ch);
-                    let (oh, ow) = (in_h - k + 1, in_w - k + 1);
+                    let positions = (in_h - k + 1) * (in_w - k + 1);
                     let fan = in_ch * k * k;
-                    for lane in &xs {
-                        cache.prefill_layer(li, mac, lane);
-                    }
-                    let SessionCache {
-                        layers,
-                        bank_t,
-                        sign_t,
-                        ..
-                    } = &mut *cache;
-                    let arena = &layers[li];
-                    // Transpose over the *raw* input activations; the
+                    // The block covers the *raw* input activations; the
                     // per-position gather (static layer geometry, built
                     // at compile time) is applied through the kernel's
                     // `fan` indirection instead of materializing a
                     // gathered row list per lane.
-                    let lane_rows: Vec<Vec<u32>> = xs
-                        .iter()
-                        .map(|lane| {
-                            lane.iter()
-                                .map(|x| arena.row(x.mag).expect("prefilled above"))
-                                .collect()
-                        })
-                        .collect();
-                    let lane_negs: Vec<Vec<bool>> = xs
-                        .iter()
-                        .map(|lane| lane.iter().map(|x| x.neg).collect())
-                        .collect();
-                    let row_refs: Vec<&[u32]> = lane_rows.iter().map(Vec::as_slice).collect();
-                    let neg_refs: Vec<&[bool]> = lane_negs.iter().map(Vec::as_slice).collect();
-                    kernel::transpose_bank_block(
-                        arena.slab(),
-                        stride,
-                        &row_refs,
-                        &neg_refs,
-                        bank_t,
-                        sign_t,
-                    );
-                    let outputs = out_ch * oh * ow;
-                    let mut accs = vec![0i64; outputs * width];
-                    for o in 0..outputs {
-                        let pos = o % (oh * ow);
-                        let lane_accs = &mut accs[o * width..(o + 1) * width];
-                        lane_accs.fill(mac.bias[o / (oh * ow)]);
+                    cache.transpose_block(mac, &x, width);
+                    let mut accs = vec![0i64; out_ch * positions * width];
+                    for (o, lane_accs) in accs.chunks_exact_mut(width).enumerate() {
+                        let pos = o % positions;
+                        lane_accs.fill(mac.bias[o / positions]);
                         bk.accumulate(kernel::MacBatchRun {
                             soa: &mac.soa,
-                            bank_t,
+                            bank_t: &cache.bank_t,
                             stride,
-                            width,
                             w_neg: &mac.w_neg,
-                            w0: o / (oh * ow) * fan,
+                            w0: o / positions * fan,
                             fan: &gather[pos * fan..(pos + 1) * fan],
-                            sign_t,
+                            sign_t: &cache.sign_t,
                             accs: lane_accs,
                         });
                     }
@@ -1359,34 +1301,21 @@ impl FixedNet {
                     // Pool magnitudes are derived, not prefillable; each
                     // lane keeps the sequential scalar reference path
                     // (identical to the row-major pool arm).
-                    let (oh, ow) = (in_h / 2, in_w / 2);
                     let (in_h, in_w, channels) = (*in_h, *in_w, *channels);
-                    let outputs = channels * oh * ow;
-                    let max_mag = (1i64 << (self.bits - 1)) - 1;
+                    let positions = (in_h / 2) * (in_w / 2);
+                    let outputs = channels * positions;
+                    let bits = self.bits;
                     let mut accs = vec![0i64; outputs * width];
-                    for (b, lane) in xs.iter().enumerate() {
-                        let lxs: &[SignedAct] = lane;
+                    for b in 0..width {
+                        let x = &x;
                         let lane_accs = self.run_mac_layer(
                             li,
                             mac,
-                            |o| mac.bias[o / (oh * ow)],
+                            |o| mac.bias[o / positions],
                             move |o| {
-                                let ch = o / (oh * ow);
-                                let oy = (o % (oh * ow)) / ow;
-                                let ox = o % ow;
-                                let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
-                                let signed =
-                                    |a: SignedAct| man_fixed::bits::apply_sign(a.mag as u64, a.neg);
-                                let sum = (signed(lxs[base])
-                                    + signed(lxs[base + 1])
-                                    + signed(lxs[base + in_w])
-                                    + signed(lxs[base + in_w + 1]))
-                                    >> 2;
-                                let avg = SignedAct {
-                                    mag: sum.unsigned_abs().min(max_mag as u64) as u32,
-                                    neg: sum < 0,
-                                };
-                                std::iter::once((ch, avg))
+                                std::iter::once(pool_operand(o, in_h, in_w, bits, |i| {
+                                    x[i * width + b]
+                                }))
                             },
                             outputs,
                             cache,
@@ -1401,42 +1330,14 @@ impl FixedNet {
                     accs
                 }
             };
-            let outputs = accs.len() / width;
-            match mac.output {
-                OutputStage::Sigmoid => {
-                    for (b, lane) in xs.iter_mut().enumerate() {
-                        *lane = (0..outputs)
-                            .map(|o| SignedAct {
-                                mag: activation_unit_fixed(accs[o * width + b], 64, acc_frac, &plan)
-                                    as u32,
-                                neg: false,
-                            })
-                            .collect();
-                    }
-                }
-                OutputStage::Requant => {
-                    let shift = mac.w_format.frac();
-                    let max_mag = (1i64 << (self.bits - 1)) - 1;
-                    for (b, lane) in xs.iter_mut().enumerate() {
-                        *lane = (0..outputs)
-                            .map(|o| {
-                                let v = (accs[o * width + b] >> shift).clamp(-max_mag, max_mag);
-                                SignedAct {
-                                    mag: v.unsigned_abs() as u32,
-                                    neg: v < 0,
-                                }
-                            })
-                            .collect();
-                    }
-                }
-                OutputStage::Logits => {
-                    for (b, out) in logits.iter_mut().enumerate() {
-                        *out = (0..outputs).map(|o| accs[o * width + b]).collect();
-                    }
-                }
+            match self.next_activations(mac, &accs) {
+                Some(next) => x = next,
+                None => logits = accs,
             }
         }
-        logits
+        (0..width)
+            .map(|b| logits.iter().skip(b).step_by(width).copied().collect())
+            .collect()
     }
 
     /// Predicted class (exact argmax over the raw integer logits).
@@ -1538,6 +1439,55 @@ impl FixedNet {
             self.forward_layers(image, Some(&mut traces), cache, 1, kernel::default_kernel());
         (logits, traces)
     }
+}
+
+/// Pool output `o`'s operand on a `in_h × in_w` map: its channel (the
+/// weight it multiplies) and the signed average of its 2×2 window
+/// (truncating arithmetic shift, as the hardware adder tree plus wiring
+/// would produce), saturated to the `bits`-wide word. `act(i)` reads
+/// input activation `i`.
+#[inline]
+fn pool_operand(
+    o: usize,
+    in_h: usize,
+    in_w: usize,
+    bits: u32,
+    act: impl Fn(usize) -> SignedAct,
+) -> (usize, SignedAct) {
+    let (oh, ow) = (in_h / 2, in_w / 2);
+    let ch = o / (oh * ow);
+    let oy = (o % (oh * ow)) / ow;
+    let ox = o % ow;
+    let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
+    let signed = |i: usize| {
+        let a = act(i);
+        man_fixed::bits::apply_sign(a.mag as u64, a.neg)
+    };
+    let sum =
+        (signed(base) + signed(base + 1) + signed(base + in_w) + signed(base + in_w + 1)) >> 2;
+    let max_mag = (1u64 << (bits - 1)) - 1;
+    let avg = SignedAct {
+        mag: sum.unsigned_abs().min(max_mag) as u32,
+        neg: sum < 0,
+    };
+    (ch, avg)
+}
+
+/// `2^52`: adding it to an `f64` in `[0, 2^52)` rounds the value to an
+/// integer under the FPU's default round-half-to-even mode, with no
+/// library call, and leaves that integer in the low mantissa bits.
+const ROUND_MAGIC: f64 = 4_503_599_627_370_496.0;
+
+/// One input pixel as an unsigned activation magnitude:
+/// `round_half_even(p · scale)` clamped to `[0, max]` (`max < 2^32`).
+/// The clamp runs first, in `f64` — `max(0.0)` also maps NaN to 0 — so
+/// the magic-number rounding only ever sees values it rounds exactly;
+/// `v + 2^52` then has exponent 52 and its low 32 bits are the rounded
+/// magnitude.
+#[inline]
+fn quantize_pixel(p: f32, scale: f64, max: f64) -> u32 {
+    let v = (p as f64 * scale).max(0.0).min(max);
+    (v + ROUND_MAGIC).to_bits() as u32
 }
 
 /// First-maximum argmax over exact integer logits. Working on the raw
@@ -1834,6 +1784,52 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The one-pass quantizer equals the `round_ties_even` + `i64`
+    /// clamp it replaced, on ties, negatives, values above the word,
+    /// infinities, NaN and a dense sweep, at every activation fraction.
+    #[test]
+    fn quantize_pixel_matches_round_ties_even_and_clamp() {
+        for frac in 2u32..=15 {
+            let scale = (1u64 << frac) as f64;
+            let max = (1u64 << frac) - 1;
+            let old = |p: f32| {
+                (((p as f64) * scale).round_ties_even() as i64).clamp(0, max as i64) as u32
+            };
+            let mut probes = vec![
+                0.0f32,
+                -0.0,
+                1.0,
+                -1.0,
+                2.0,
+                1e30,
+                -1e30,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                f32::MIN_POSITIVE,
+                f32::MAX,
+                f32::MIN,
+            ];
+            // Every tie `k + 1/2` (and its negation) across the word and
+            // just past it, plus their neighbours one ulp either side.
+            for k in 0..=(max + 2).min(1 << 12) {
+                let tie = (k as f32 + 0.5) / scale as f32;
+                let (up, down) = (tie.to_bits() + 1, tie.to_bits() - 1);
+                probes.extend([tie, -tie, f32::from_bits(up), f32::from_bits(down)]);
+            }
+            probes.extend((0..4096).map(|i| (i as f32 - 512.0) / 3000.0));
+            probes.push((max as f32 + 0.5) / scale as f32);
+            probes.push((max as f32 - 0.5) / scale as f32);
+            for p in probes {
+                assert_eq!(
+                    quantize_pixel(p, scale, max as f64),
+                    old(p),
+                    "frac={frac} p={p:e}"
+                );
             }
         }
     }

@@ -31,12 +31,13 @@
 //!
 //! A second, **batch-major** family (`MacBatchKernel`, same three
 //! variants) flips the vectorization axis: instead of packing four
-//! weights of one batch row, it evaluates one weight term against four
-//! batch rows at once over a batch-transposed view of the same arena
-//! rows (`transpose_bank_block`). The term byte of a weight is
-//! identical across rows, so the transpose turns every bank select into
-//! a contiguous load under one shared shift — no gathers and no
-//! per-row term reload, which is where wide batches win. Which family
+//! weights of one batch row, it evaluates one weight term against a
+//! whole 16-row lane block at once over a batch-transposed, 32-bit copy
+//! of the block's pre-computer banks (`transpose_bank_block`). The term
+//! byte of a weight is identical across rows, so the transpose turns
+//! every bank select into a contiguous load under one shared shift —
+//! one term decode per fan-in position for the block, no gathers, which
+//! is where wide batches win. Which family
 //! runs is the **layout** axis ([`LayoutKind`], resolved by
 //! [`resolve_layout`] from the `man_par::Layout` request vocabulary,
 //! the `MAN_LAYOUT` environment override and the tuner heuristic).
@@ -386,6 +387,9 @@ pub(crate) struct MacSoa {
     /// `q * weights` term bytes; slot `s` of weight `w` is at
     /// `s * weights + w`.
     terms: Vec<u8>,
+    /// The narrowest arena row every term fits: the largest padded bank
+    /// index plus one (never above the layer's row stride).
+    min_stride: usize,
 }
 
 impl MacSoa {
@@ -408,7 +412,17 @@ impl MacSoa {
                 offset += width;
             }
         }
-        Self { q, weights, terms }
+        let min_stride = terms
+            .iter()
+            .map(|&t| (t >> 4) as usize + 1)
+            .max()
+            .unwrap_or(1);
+        Self {
+            q,
+            weights,
+            terms,
+            min_stride,
+        }
     }
 
     /// Heap bytes of the repacked plan buffer.
@@ -777,47 +791,73 @@ unsafe fn avx2_q<const Q: usize>(run: MacRun<'_>) -> i64 {
 // The batch-major kernel family
 // ---------------------------------------------------------------------------
 
-/// Repacks per-lane arena rows into the batch-transposed block the
-/// [`MacBatchKernel`]s consume.
+/// Lanes per vector of the batch-major block: one 8 × `u32` AVX2
+/// register. A transposed block is padded to a multiple of this many
+/// lanes with zero banks and zero sign masks, so every lane group the
+/// kernels walk is full and no width falls back to a per-lane tail.
+const LANE_PAD: usize = 8;
+
+/// Lanes one term decode covers: two [`LANE_PAD`] vectors, which is a
+/// whole 16-row `LANE_BLOCK` of the engine.
+const LANE_GROUP: usize = 2 * LANE_PAD;
+
+/// The padded lane count of a block of `width` lanes — the lane stride
+/// of the transposed bank and sign buffers.
+fn padded_width(width: usize) -> usize {
+    width.next_multiple_of(LANE_PAD)
+}
+
+/// Builds the batch-transposed bank block the [`MacBatchKernel`]s
+/// consume — the pre-computer bank of every input of a lane block.
 ///
 /// The term byte of a `(weight, quartet-slot)` pair is identical across
-/// batch rows — only the bank *values* differ per lane. Transposing the
-/// bank rows by lane therefore turns every hot-loop bank select into a
+/// batch rows — only the bank *values* differ per lane. Laying the banks
+/// out by lane therefore turns every hot-loop bank select into a
 /// contiguous load: slot `k` of input `i` for lane `b` lands at
-/// `bank_t[(i*stride + k)*width + b]`, so one term byte drives `width`
-/// adjacent `u64`s under one shared shift count — no gathers, no
-/// per-lane term reload. Activation signs transpose alongside as
-/// `0`/`-1` masks (`sign_t[i*width + b]`), which is the form both the
-/// branch-free SWAR sign application and the AVX2 `xor`/`sub` identity
-/// consume directly.
+/// `bank_t[(i*stride + k)*pw + b]`, where `stride` is the alphabet size
+/// plus one and `pw` the lane count padded to a multiple of 8, so one
+/// term byte drives every lane of the block under one shared shift
+/// count — no gathers, no per-lane term reload. Slot 0 is the zero
+/// sentinel a masked quartet selects; slot `k ≥ 1` holds `a_k·x`, the
+/// value a `BankArena` row holds. Activation signs transpose alongside
+/// as `0`/`-1` masks (`sign_t[i*pw + b]`), the form the branch-free
+/// sign fold consumes directly. Padding lanes hold zero banks and zero
+/// masks, so they add nothing.
 ///
-/// `lane_rows[b]` / `lane_negs[b]` are lane `b`'s arena row offsets and
-/// activation signs over the layer's raw inputs (every lane the same
-/// length). The output buffers are reused across layers and blocks —
-/// the caller keeps them in its session cache scratch.
-pub(crate) fn transpose_bank_block(
-    slab: &[u64],
-    stride: usize,
-    lane_rows: &[&[u32]],
-    lane_negs: &[&[bool]],
-    bank_t: &mut Vec<u64>,
-    sign_t: &mut Vec<i64>,
+/// Both buffers hold 32-bit words: a bank entry `a·x` is at most
+/// `15·(2^15 − 1) < 2^19`.
+///
+/// `acts` holds the block's input activations lane-transposed (input
+/// `i` of lane `b` at `i*width + b`, `width` ≥ 1), and `act` reads one
+/// as `(magnitude, negative)`. The block is written in address order,
+/// so it needs no zero fill first. The output buffers are reused across
+/// layers and blocks — the caller keeps them in its session cache
+/// scratch.
+pub(crate) fn transpose_bank_block<A>(
+    members: &[u8],
+    width: usize,
+    acts: &[A],
+    act: impl Fn(&A) -> (u32, bool),
+    bank_t: &mut Vec<u32>,
+    sign_t: &mut Vec<i32>,
 ) {
-    let width = lane_rows.len();
-    let inputs = lane_rows.first().map_or(0, |rows| rows.len());
+    let pad = padded_width(width) - width;
+    let inputs = acts.len() / width;
+    debug_assert_eq!(inputs * width, acts.len(), "every lane covers every input");
     bank_t.clear();
-    bank_t.resize(inputs * stride * width, 0);
+    bank_t.reserve(inputs * (members.len() + 1) * (width + pad));
     sign_t.clear();
-    sign_t.resize(inputs * width, 0);
-    for (b, (rows, negs)) in lane_rows.iter().zip(lane_negs).enumerate() {
-        debug_assert_eq!(rows.len(), inputs, "every lane covers every input");
-        for (i, (&row, &neg)) in rows.iter().zip(*negs).enumerate() {
-            let src = &slab[row as usize..row as usize + stride];
-            let base = i * stride * width + b;
-            for (k, &v) in src.iter().enumerate() {
-                bank_t[base + k * width] = v;
-            }
-            sign_t[i * width + b] = -(neg as i64);
+    sign_t.reserve(inputs * (width + pad));
+    for lanes in acts.chunks_exact(width) {
+        sign_t.extend(lanes.iter().map(|x| -(act(x).1 as i32)));
+        sign_t.extend(std::iter::repeat_n(0, pad));
+        bank_t.extend(std::iter::repeat_n(0, width + pad));
+        for &a in members {
+            bank_t.extend(lanes.iter().map(|x| {
+                debug_assert!(act(x).0 < 1 << 15, "activation magnitude exceeds 15 bits");
+                u32::from(a) * act(x).0
+            }));
+            bank_t.extend(std::iter::repeat_n(0, pad));
         }
     }
 }
@@ -828,15 +868,17 @@ pub(crate) fn transpose_bank_block(
 /// chain strictly in fan-in order (lanes are independent batch rows, so
 /// vectorizing *across* them never reorders any accumulator — the §8
 /// argument holds per lane by construction).
+///
+/// The block is the one [`transpose_bank_block`] built for
+/// `accs.len()` lanes: 32-bit banks and sign masks with the lane stride
+/// padded to a multiple of 8.
 pub(crate) struct MacBatchRun<'a> {
     /// The layer's repacked plans.
     pub soa: &'a MacSoa,
-    /// The batch-transposed bank block (see [`transpose_bank_block`]).
-    pub bank_t: &'a [u64],
+    /// The batch-transposed `u32` bank block.
+    pub bank_t: &'a [u32],
     /// Padded row stride (alphabet members + 1), as in the arena.
     pub stride: usize,
-    /// Lanes (batch rows) in the block; `accs.len()`.
-    pub width: usize,
     /// The layer's weight signs (all weights, not just this run).
     pub w_neg: &'a [bool],
     /// First weight of the run.
@@ -844,10 +886,11 @@ pub(crate) struct MacBatchRun<'a> {
     /// Input index per fan-in position — the identity for dense layers,
     /// the position's gather slice for conv layers.
     pub fan: &'a [u32],
-    /// Transposed activation sign masks (`0`/`-1`), lane `b` of input
-    /// `i` at `i*width + b`.
-    pub sign_t: &'a [i64],
-    /// Per-lane accumulators, bias-initialized; updated in place.
+    /// Transposed `i32` activation sign masks (`0`/`-1`), lane `b` of
+    /// input `i` at `i*pw + b`.
+    pub sign_t: &'a [i32],
+    /// Per-lane accumulators, bias-initialized; updated in place. Its
+    /// length is the block's lane count.
     pub accs: &'a mut [i64],
 }
 
@@ -881,187 +924,263 @@ pub(crate) fn batch_kernel_for(kind: KernelKind) -> &'static dyn MacBatchKernel 
     }
 }
 
-/// One lane's reference fan-in walk over the transposed block — the
-/// scalar batch-major anchor, and the tail path of both vectorized
-/// batch kernels.
-#[inline]
-fn batch_lane_scalar(run: &MacBatchRun<'_>, b: usize) -> i64 {
-    let soa = run.soa;
-    let width = run.width;
-    let mut acc = run.accs[b];
-    for (j, &gi) in run.fan.iter().enumerate() {
-        let gi = gi as usize;
-        let mut p = 0u64;
-        for s in 0..soa.q {
-            let term = soa.terms[s * soa.weights + run.w0 + j] as usize;
-            p += run.bank_t[(gi * run.stride + (term >> 4)) * width + b] << (term & 15);
-        }
-        let neg = run.w_neg[run.w0 + j] ^ (run.sign_t[gi * width + b] != 0);
-        acc += man_fixed::bits::apply_sign(p, neg);
-    }
-    acc
-}
-
 /// The scalar batch-major reference: every lane through the per-term
-/// walk, one lane at a time.
+/// walk, one lane at a time, widening each 32-bit bank entry to the
+/// `u64` the row-major scalar kernel sums.
 struct ScalarBatchKernel;
 
 impl MacBatchKernel for ScalarBatchKernel {
     fn accumulate(&self, run: MacBatchRun<'_>) {
-        for b in 0..run.width {
-            run.accs[b] = batch_lane_scalar(&run, b);
+        let soa = run.soa;
+        let pw = padded_width(run.accs.len());
+        for (b, acc) in run.accs.iter_mut().enumerate() {
+            for (j, &gi) in run.fan.iter().enumerate() {
+                let gi = gi as usize;
+                let mut p = 0u64;
+                for s in 0..soa.q {
+                    let term = soa.terms[s * soa.weights + run.w0 + j] as usize;
+                    p += (run.bank_t[(gi * run.stride + (term >> 4)) * pw + b] as u64)
+                        << (term & 15);
+                }
+                let neg = run.w_neg[run.w0 + j] ^ (run.sign_t[gi * pw + b] != 0);
+                *acc += man_fixed::bits::apply_sign(p, neg);
+            }
         }
     }
 }
 
-/// The portable batch-major vector kernel: four batch-row lanes per
-/// unrolled step, one term byte (and one shift count) shared across all
-/// four, contiguous bank loads — no `std::arch` anywhere.
+/// Walks a block's padded lanes in groups: `LANE_GROUP` lanes while that
+/// many remain, then one `LANE_PAD` group. `group(b0, wide)` runs the
+/// lanes from `b0`, sixteen of them when `wide`, else eight.
+#[inline]
+fn for_each_lane_group(lanes: usize, mut group: impl FnMut(usize, bool)) {
+    let pw = padded_width(lanes);
+    let mut b0 = 0;
+    while b0 < pw {
+        let wide = pw - b0 >= LANE_GROUP;
+        group(b0, wide);
+        b0 += if wide { LANE_GROUP } else { LANE_PAD };
+    }
+}
+
+/// The portable batch-major vector kernel: per fan-in position, one
+/// term decode drives a whole 16- (or 8-) lane group of contiguous
+/// 32-bit bank loads under one shared shift — no `std::arch` anywhere.
 struct SwarBatchKernel;
 
 impl MacBatchKernel for SwarBatchKernel {
-    fn accumulate(&self, run: MacBatchRun<'_>) {
+    fn accumulate(&self, mut run: MacBatchRun<'_>) {
+        fn q<const Q: usize>(run: &mut MacBatchRun<'_>) {
+            for_each_lane_group(run.accs.len(), |b0, wide| {
+                if wide {
+                    swar_batch_group::<Q, LANE_GROUP>(run, b0)
+                } else {
+                    swar_batch_group::<Q, LANE_PAD>(run, b0)
+                }
+            });
+        }
         match run.soa.q {
-            1 => swar_batch_q::<1>(run),
-            2 => swar_batch_q::<2>(run),
-            3 => swar_batch_q::<3>(run),
-            4 => swar_batch_q::<4>(run),
+            1 => q::<1>(&mut run),
+            2 => q::<2>(&mut run),
+            3 => q::<3>(&mut run),
+            4 => q::<4>(&mut run),
             q => unreachable!("{q} quartet slots; 3..=16-bit words have 1..=4"),
         }
     }
 }
 
+/// Lanes `b0..b0 + N` of a SWAR batch-major run.
 #[inline]
-fn swar_batch_q<const Q: usize>(run: MacBatchRun<'_>) {
+fn swar_batch_group<const Q: usize, const N: usize>(run: &mut MacBatchRun<'_>, b0: usize) {
     debug_assert_eq!(run.soa.q, Q);
-    let width = run.width;
+    let live = N.min(run.accs.len() - b0);
+    let pw = padded_width(run.accs.len());
+    let block = run.stride * pw;
     let w = run.soa.weights;
     let t = &run.soa.terms;
-    let mut b = 0;
-    while b + 4 <= width {
-        let mut acc = [
-            run.accs[b],
-            run.accs[b + 1],
-            run.accs[b + 2],
-            run.accs[b + 3],
-        ];
-        for (j, &gi) in run.fan.iter().enumerate() {
-            let gi = gi as usize;
-            let row = gi * run.stride;
-            let mut p = [0u64; 4];
-            for s in 0..Q {
-                let term = t[s * w + run.w0 + j] as usize;
-                let off = (row + (term >> 4)) * width + b;
-                let sh = term & 15;
-                for (l, lane) in p.iter_mut().enumerate() {
-                    *lane += run.bank_t[off + l] << sh;
-                }
-            }
-            // Sign application via the two's-complement identity
-            // `(p ^ m) - m` (`m` = 0 keeps `p`, `m` = -1 negates) —
-            // exactly `apply_sign`, lane-independent and branch-free.
-            // Each lane's accumulator still advances in fan-in order.
-            let wm = -(run.w_neg[run.w0 + j] as i64);
-            let sb = gi * width + b;
-            for (l, &lane) in p.iter().enumerate() {
-                let m = run.sign_t[sb + l] ^ wm;
-                acc[l] += (lane as i64 ^ m) - m;
+    let mut acc = [0i64; N];
+    acc[..live].copy_from_slice(&run.accs[b0..b0 + live]);
+    for (j, &gi) in run.fan.iter().enumerate() {
+        let gi = gi as usize;
+        let banks = &run.bank_t[gi * block..(gi + 1) * block];
+        // Products stay exact in 32 bits: each is at most
+        // (2^(bits−1) − 1)² < 2^30 for bits ≤ 16.
+        let mut p = [0u32; N];
+        for s in 0..Q {
+            let term = t[s * w + run.w0 + j] as usize;
+            let sh = term & 15;
+            let src = &banks[(term >> 4) * pw + b0..][..N];
+            for (lane, &v) in p.iter_mut().zip(src) {
+                *lane += v << sh;
             }
         }
-        run.accs[b..b + 4].copy_from_slice(&acc);
-        b += 4;
+        // Sign application via the two's-complement identity
+        // `(p ^ m) - m` (`m` = 0 keeps `p`, `m` = -1 negates) —
+        // exactly `apply_sign`, lane-independent and branch-free. Each
+        // lane's accumulator still advances one MAC at a time in
+        // fan-in order.
+        let wm = -(run.w_neg[run.w0 + j] as i32);
+        let signs = &run.sign_t[gi * pw + b0..][..N];
+        for ((a, &lane), &sm) in acc.iter_mut().zip(&p).zip(signs) {
+            let m = sm ^ wm;
+            *a += ((lane as i32 ^ m) - m) as i64;
+        }
     }
-    while b < width {
-        run.accs[b] = batch_lane_scalar(&run, b);
-        b += 1;
-    }
+    run.accs[b0..b0 + live].copy_from_slice(&acc[..live]);
 }
 
-/// The AVX2 batch-major specialization: four batch-row lanes per
-/// 256-bit step — one *contiguous* `vmovdqu` bank load per term (the
-/// transpose already put the four lanes' bank entries side by side; no
-/// gathers), one shared `vpsllq` shift count per term, and the sign
-/// application folded into a `vpxor`/`vpsubq` pair against the
-/// transposed sign masks. Reachable only through [`batch_kernel_for`]
-/// after the availability re-check, so the `target_feature` contract
-/// holds at every call site.
+/// The AVX2 batch-major specialization. Per fan-in position it loads
+/// each term byte, shift count and weight-sign mask once and applies
+/// them to two 8 × `i32` vectors — all sixteen lanes of a block: one
+/// contiguous `vmovdqu` bank load per vector (no gathers), one shared
+/// `vpslld` shift, and the sign fold as a `vpxor`/`vpsubd` pair against
+/// the transposed masks. The exact 32-bit products are sign-extended
+/// (`vpmovsxdq`) into four 4 × `i64` accumulators. Reachable only
+/// through [`batch_kernel_for`] after the availability re-check, so the
+/// `target_feature` contract holds at every call site.
 #[cfg(target_arch = "x86_64")]
 struct Avx2BatchKernel;
 
 #[cfg(target_arch = "x86_64")]
 impl MacBatchKernel for Avx2BatchKernel {
-    fn accumulate(&self, run: MacBatchRun<'_>) {
+    fn accumulate(&self, mut run: MacBatchRun<'_>) {
         debug_assert!(avx2_available(), "AVX2 kernel dispatched without AVX2");
-        // SAFETY: reachable only via `batch_kernel_for`, whose AVX2 arm
-        // re-checks `avx2_available()` even for forced kinds; every
-        // load stays in bounds — `(input*stride + idx)*width + b + 4 <=
-        // inputs*stride*width` whenever `b + 4 <= width` and the term
-        // index is below the row stride (enforced by
-        // `transpose_bank_block`/`MacSoa` construction).
-        #[allow(unsafe_code)]
-        unsafe {
-            match run.soa.q {
-                1 => avx2_batch_q::<1>(run),
-                2 => avx2_batch_q::<2>(run),
-                3 => avx2_batch_q::<3>(run),
-                4 => avx2_batch_q::<4>(run),
-                q => unreachable!("{q} quartet slots; 3..=16-bit words have 1..=4"),
-            }
+        let lanes = run.accs.len();
+        if lanes == 0 {
+            return;
+        }
+        // The bounds `avx2_batch_group` relies on, checked once per run
+        // instead of once per load: every padded bank index lies below
+        // the row stride, the transposed block covers every fan-in
+        // input at the padded width, and the run's weights exist.
+        let pw = padded_width(lanes);
+        let inputs = run.sign_t.len() / pw;
+        let end = run.w0 + run.fan.len();
+        assert!(
+            run.soa.min_stride <= run.stride,
+            "term plan indexes past the bank row"
+        );
+        assert!(
+            run.bank_t.len() >= inputs * run.stride * pw,
+            "bank block too short"
+        );
+        assert!(
+            run.fan.iter().fold(0, |m, &g| m.max(g as usize + 1)) <= inputs,
+            "fan-in input outside the block"
+        );
+        assert!(
+            end <= run.soa.weights && end <= run.w_neg.len(),
+            "run past the layer's weights"
+        );
+        fn q<const Q: usize>(run: &mut MacBatchRun<'_>) {
+            for_each_lane_group(run.accs.len(), |b0, wide| {
+                // SAFETY: reachable only via `batch_kernel_for`, whose
+                // AVX2 arm re-checks `avx2_available()` even for forced
+                // kinds. `accumulate` asserted the index, block and
+                // weight bounds above, and `for_each_lane_group` hands
+                // out `b0` with `b0 + 8·V <= pw` (the padded width) for
+                // the `V` each arm passes — together the safety contract
+                // of `avx2_batch_group`.
+                #[allow(unsafe_code)]
+                unsafe {
+                    if wide {
+                        avx2_batch_group::<Q, 2>(run, b0)
+                    } else {
+                        avx2_batch_group::<Q, 1>(run, b0)
+                    }
+                }
+            });
+        }
+        match run.soa.q {
+            1 => q::<1>(&mut run),
+            2 => q::<2>(&mut run),
+            3 => q::<3>(&mut run),
+            4 => q::<4>(&mut run),
+            q => unreachable!("{q} quartet slots; 3..=16-bit words have 1..=4"),
         }
     }
 }
 
+/// Lanes `b0..b0 + 8·V` of an AVX2 batch-major run (`V` ∈ {1, 2}).
+///
 /// # Safety
 ///
-/// Callers must ensure the host supports AVX2 and that `run`'s block
-/// buffers were built by [`transpose_bank_block`] over in-bounds rows
-/// (see the safety comment at the call site).
+/// With `pw = padded_width(run.accs.len())`, callers must ensure that
+/// the host supports AVX2, that `b0 + 8·V <= pw`, and that
+/// - every padded bank index of `run.soa` is below `run.stride`
+///   (`soa.min_stride <= stride`);
+/// - every `fan` entry is below `inputs = sign_t.len() / pw`, and
+///   `bank_t` holds at least `inputs · stride · pw` entries;
+/// - `w0 + fan.len()` is at most `soa.weights` and `w_neg.len()`.
+///
+/// Then input `gi`'s bank rows span `bank_t[gi·stride·pw..][..stride·pw]`
+/// and its sign row `sign_t[gi·pw..][..pw]`, and every load below reads
+/// `8·V <= pw − b0` lanes from `b0` of one of those rows.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
-unsafe fn avx2_batch_q<const Q: usize>(run: MacBatchRun<'_>) {
+unsafe fn avx2_batch_group<const Q: usize, const V: usize>(run: &mut MacBatchRun<'_>, b0: usize) {
     use std::arch::x86_64::*;
 
     debug_assert_eq!(run.soa.q, Q);
-    let width = run.width;
+    let lanes = run.accs.len();
+    let pw = padded_width(lanes);
+    debug_assert!(b0 + LANE_PAD * V <= pw);
+    let live = (LANE_PAD * V).min(lanes - b0);
+    let block = run.stride * pw;
     let w = run.soa.weights;
-    let t = &run.soa.terms;
-    let bank_ptr = run.bank_t.as_ptr();
-    let sign_ptr = run.sign_t.as_ptr();
-    let mut b = 0;
-    while b + 4 <= width {
-        let mut acc = _mm256_loadu_si256(run.accs.as_ptr().add(b) as *const __m256i);
-        for (j, &gi) in run.fan.iter().enumerate() {
-            let gi = gi as usize;
-            let row = gi * run.stride;
-            let mut prod = _mm256_setzero_si256();
-            for s in 0..Q {
-                let term = t[s * w + run.w0 + j] as usize;
-                let v = _mm256_loadu_si256(
-                    bank_ptr.add((row + (term >> 4)) * width + b) as *const __m256i
-                );
-                prod = _mm256_add_epi64(
-                    prod,
-                    _mm256_sll_epi64(v, _mm_cvtsi32_si128((term & 15) as i32)),
-                );
+    let terms = run.soa.terms.as_ptr().add(run.w0);
+    let w_neg = run.w_neg.as_ptr().add(run.w0);
+    let bank_ptr = run.bank_t.as_ptr().add(b0);
+    let sign_ptr = run.sign_t.as_ptr().add(b0);
+    let mut lane_accs = [0i64; LANE_GROUP];
+    lane_accs[..live].copy_from_slice(&run.accs[b0..b0 + live]);
+    let mut acc = [_mm256_setzero_si256(); 4];
+    for (a, chunk) in acc.iter_mut().zip(lane_accs.chunks_exact(4)).take(2 * V) {
+        *a = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
+    }
+    for (j, &gi) in run.fan.iter().enumerate() {
+        let gi = gi as usize;
+        let banks = bank_ptr.add(gi * block);
+        let signs = sign_ptr.add(gi * pw);
+        // Exact 32-bit products: each is at most (2^(bits−1) − 1)² <
+        // 2^30 for bits ≤ 16, so the adds never wrap. One term decode
+        // drives all `8·V` lanes.
+        let mut p = [_mm256_setzero_si256(); V];
+        for s in 0..Q {
+            let term = *terms.add(s * w + j) as usize;
+            let cnt = _mm_cvtsi32_si128((term & 15) as i32);
+            let src = banks.add((term >> 4) * pw);
+            for (v, pv) in p.iter_mut().enumerate() {
+                let x = _mm256_loadu_si256(src.add(LANE_PAD * v) as *const __m256i);
+                *pv = _mm256_add_epi32(*pv, _mm256_sll_epi32(x, cnt));
             }
-            // `(p ^ m) - m` — the same sign identity as the SWAR batch
-            // kernel, with the per-lane masks loaded contiguously from
-            // the transposed sign block and the weight sign broadcast.
-            let wm = _mm256_set1_epi64x(-(run.w_neg[run.w0 + j] as i64));
+        }
+        // `(p ^ m) - m` against the transposed masks and the broadcast
+        // weight sign — the SWAR kernel's fold — then each lane's
+        // product is sign-extended and added to its i64 accumulator:
+        // one MAC per lane, in fan-in order.
+        let wm = _mm256_set1_epi32(-(*w_neg.add(j) as i32));
+        for (v, &pv) in p.iter().enumerate() {
             let m = _mm256_xor_si256(
-                _mm256_loadu_si256(sign_ptr.add(gi * width + b) as *const __m256i),
+                _mm256_loadu_si256(signs.add(LANE_PAD * v) as *const __m256i),
                 wm,
             );
-            acc = _mm256_add_epi64(acc, _mm256_sub_epi64(_mm256_xor_si256(prod, m), m));
+            let signed = _mm256_sub_epi32(_mm256_xor_si256(pv, m), m);
+            acc[2 * v] = _mm256_add_epi64(
+                acc[2 * v],
+                _mm256_cvtepi32_epi64(_mm256_castsi256_si128(signed)),
+            );
+            acc[2 * v + 1] = _mm256_add_epi64(
+                acc[2 * v + 1],
+                _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(signed)),
+            );
         }
-        _mm256_storeu_si256(run.accs.as_mut_ptr().add(b) as *mut __m256i, acc);
-        b += 4;
     }
-    while b < width {
-        run.accs[b] = batch_lane_scalar(&run, b);
-        b += 1;
+    for (a, chunk) in acc.iter().zip(lane_accs.chunks_exact_mut(4)).take(2 * V) {
+        _mm256_storeu_si256(chunk.as_mut_ptr() as *mut __m256i, *a);
     }
+    run.accs[b0..b0 + live].copy_from_slice(&lane_accs[..live]);
 }
 
 #[cfg(test)]
@@ -1211,10 +1330,11 @@ mod tests {
     }
 
     /// Every batch-major kernel × every paper alphabet × several word
-    /// lengths × lane widths with and without a vector tail: each lane
-    /// must reproduce the row-major scalar reference bit for bit (the
-    /// layouts share terms, signs and per-lane accumulation order by
-    /// construction; this pins the transpose and the lane indexing).
+    /// lengths × lane widths below, at and past a full 16-lane group,
+    /// padded and unpadded: each lane must reproduce the row-major
+    /// scalar reference bit for bit (the layouts share terms, signs and
+    /// per-lane accumulation order by construction; this pins the
+    /// transpose, the padding and the lane indexing).
     #[test]
     fn batch_kernels_match_row_major_scalar_per_lane() {
         let mut kinds = vec![KernelKind::Scalar, KernelKind::Swar];
@@ -1234,48 +1354,38 @@ mod tests {
                 let max_x = (1u32 << (bits - 1)) - 1;
                 let fan: Vec<u32> = (0..mags.len() as u32).collect();
 
-                for width in [1usize, 2, 4, 5, 8, 11] {
+                for width in [1usize, 2, 4, 5, 8, 11, 16, 17, 24, 31, 32] {
                     // Per-lane activations: distinct magnitude/sign
                     // patterns so a lane swap or off-by-one in the
                     // transpose cannot cancel out.
-                    let mut arena = BankArena::new(1usize << (bits - 1), asm.alphabet().len());
                     let lanes: Vec<(Vec<u32>, Vec<bool>)> = (0..width)
                         .map(|b| {
-                            let rows: Vec<u32> = (0..mags.len())
+                            let xs: Vec<u32> = (0..mags.len())
                                 .map(|i| {
-                                    let mag = [0, 1, max_x / 3 + 1, max_x, max_x / 2][(i + b) % 5]
-                                        .min(max_x);
-                                    arena.row_or_fill(&asm, mag)
+                                    [0, 1, max_x / 3 + 1, max_x, max_x / 2][(i + b) % 5].min(max_x)
                                 })
                                 .collect();
                             let negs: Vec<bool> =
                                 (0..mags.len()).map(|i| (i + 2 * b) % 4 == 1).collect();
-                            (rows, negs)
+                            (xs, negs)
                         })
                         .collect();
-                    let lane_rows: Vec<&[u32]> = lanes.iter().map(|(r, _)| r.as_slice()).collect();
-                    let lane_negs: Vec<&[bool]> = lanes.iter().map(|(_, n)| n.as_slice()).collect();
-                    let mut bank_t = Vec::new();
-                    let mut sign_t = Vec::new();
-                    transpose_bank_block(
-                        arena.slab(),
-                        asm.alphabet().len() + 1,
-                        &lane_rows,
-                        &lane_negs,
-                        &mut bank_t,
-                        &mut sign_t,
-                    );
+                    let (bank_t, sign_t) = transposed(&asm, &lanes);
 
                     // Row-major scalar reference, lane by lane.
+                    let mut arena = BankArena::new(1usize << (bits - 1), asm.alphabet().len());
                     let want: Vec<i64> = (0..width)
                         .map(|b| {
+                            let (xs, negs) = &lanes[b];
+                            let rows: Vec<u32> =
+                                xs.iter().map(|&x| arena.row_or_fill(&asm, x)).collect();
                             kernel_for(KernelKind::Scalar).accumulate(MacRun {
                                 soa: &soa,
                                 slab: arena.slab(),
                                 w_neg: &w_neg,
                                 w0: 0,
-                                rows: &lanes[b].0,
-                                x_neg: &lanes[b].1,
+                                rows: &rows,
+                                x_neg: negs,
                                 acc: 7 + b as i64,
                             })
                         })
@@ -1287,7 +1397,6 @@ mod tests {
                             soa: &soa,
                             bank_t: &bank_t,
                             stride: asm.alphabet().len() + 1,
-                            width,
                             w_neg: &w_neg,
                             w0: 0,
                             fan: &fan,
@@ -1321,37 +1430,28 @@ mod tests {
         let soa = MacSoa::build(&asm, &plans);
         let w_neg: Vec<bool> = (0..mags.len()).map(|i| i % 2 == 0).collect();
         let inputs = 9usize;
-        let mut arena = BankArena::new(128, asm.alphabet().len());
         let width = 6usize;
         let lanes: Vec<(Vec<u32>, Vec<bool>)> = (0..width)
             .map(|b| {
-                let rows: Vec<u32> = (0..inputs)
-                    .map(|i| arena.row_or_fill(&asm, ((i + 3 * b) as u32 * 13) % 128))
+                let xs: Vec<u32> = (0..inputs)
+                    .map(|i| ((i + 3 * b) as u32 * 13) % 128)
                     .collect();
                 let negs: Vec<bool> = (0..inputs).map(|i| (i * (b + 1)) % 3 == 1).collect();
-                (rows, negs)
+                (xs, negs)
             })
             .collect();
-        let lane_rows: Vec<&[u32]> = lanes.iter().map(|(r, _)| r.as_slice()).collect();
-        let lane_negs: Vec<&[bool]> = lanes.iter().map(|(_, n)| n.as_slice()).collect();
-        let mut bank_t = Vec::new();
-        let mut sign_t = Vec::new();
-        transpose_bank_block(
-            arena.slab(),
-            asm.alphabet().len() + 1,
-            &lane_rows,
-            &lane_negs,
-            &mut bank_t,
-            &mut sign_t,
-        );
+        let (bank_t, sign_t) = transposed(&asm, &lanes);
         // A conv-style fan: repeats and skips over the raw inputs.
         let fan: Vec<u32> = vec![0, 4, 4, 7, 2, 8, 1, 1];
         for w0 in [0usize, 1, 5] {
             let len = fan.len().min(mags.len() - w0);
+            let mut arena = BankArena::new(128, asm.alphabet().len());
             let want: Vec<i64> = (0..width)
                 .map(|b| {
-                    let rows: Vec<u32> =
-                        fan[..len].iter().map(|&g| lanes[b].0[g as usize]).collect();
+                    let rows: Vec<u32> = fan[..len]
+                        .iter()
+                        .map(|&g| arena.row_or_fill(&asm, lanes[b].0[g as usize]))
+                        .collect();
                     let x_neg: Vec<bool> =
                         fan[..len].iter().map(|&g| lanes[b].1[g as usize]).collect();
                     kernel_for(KernelKind::Scalar).accumulate(MacRun {
@@ -1375,7 +1475,6 @@ mod tests {
                     soa: &soa,
                     bank_t: &bank_t,
                     stride: asm.alphabet().len() + 1,
-                    width,
                     w_neg: &w_neg,
                     w0,
                     fan: &fan[..len],
@@ -1383,6 +1482,67 @@ mod tests {
                     accs: &mut accs,
                 });
                 assert_eq!(accs, want, "w0={w0} kernel={}", kind.label());
+            }
+        }
+    }
+
+    /// The batch-transposed block of per-lane `(magnitudes, signs)`
+    /// columns, built the way the engine builds it.
+    fn transposed(asm: &AsmMultiplier, lanes: &[(Vec<u32>, Vec<bool>)]) -> (Vec<u32>, Vec<i32>) {
+        let inputs = lanes[0].0.len();
+        let acts: Vec<(u32, bool)> = (0..inputs)
+            .flat_map(|i| lanes.iter().map(move |(xs, negs)| (xs[i], negs[i])))
+            .collect();
+        let (mut bank_t, mut sign_t) = (Vec::new(), Vec::new());
+        transpose_bank_block(
+            asm.alphabet().members(),
+            lanes.len(),
+            &acts,
+            |&x| x,
+            &mut bank_t,
+            &mut sign_t,
+        );
+        (bank_t, sign_t)
+    }
+
+    /// The 32-bit product bound at its edge: 16-bit words, every weight
+    /// and every activation at the maximum magnitude `2^15 − 1`, every
+    /// product negative. Each product `(2^15 − 1)^2` is just below
+    /// `2^30`; their sum leaves 32 bits after a few MACs, so a kernel
+    /// that summed products in `i32` before widening would fail here.
+    #[test]
+    fn batch_kernels_hold_the_16_bit_product_bound() {
+        let asm = AsmMultiplier::new(16, AlphabetSet::a8());
+        let max = (1u32 << 15) - 1;
+        let fan_in = 64usize;
+        let plans = vec![asm.decode(max).expect("every magnitude is supported"); fan_in];
+        let soa = MacSoa::build(&asm, &plans);
+        let w_neg = vec![false; fan_in];
+        let fan: Vec<u32> = (0..fan_in as u32).collect();
+        let stride = asm.alphabet().len() + 1;
+        let product = i64::from(max) * i64::from(max);
+        assert!(product < 1 << 30);
+        let mut kinds = vec![KernelKind::Scalar, KernelKind::Swar];
+        if avx2_available() {
+            kinds.push(KernelKind::Avx2);
+        }
+        for width in [1usize, 8, 16, 17, 32] {
+            let lanes = vec![(vec![max; fan_in], vec![true; fan_in]); width];
+            let (bank_t, sign_t) = transposed(&asm, &lanes);
+            let want = vec![-5 - fan_in as i64 * product; width];
+            for &kind in &kinds {
+                let mut accs = vec![-5i64; width];
+                batch_kernel_for(kind).accumulate(MacBatchRun {
+                    soa: &soa,
+                    bank_t: &bank_t,
+                    stride,
+                    w_neg: &w_neg,
+                    w0: 0,
+                    fan: &fan,
+                    sign_t: &sign_t,
+                    accs: &mut accs,
+                });
+                assert_eq!(accs, want, "width={width} kernel={}", kind.label());
             }
         }
     }
